@@ -362,27 +362,27 @@ func translateTaskErr(rt *ClusterRuntime, workerID string, err error) error {
 // query arrived as SQL text (the only form we can ship). Every failure
 // mode degrades to the local path; results are identical either way.
 func (q *QueryExecution) CollectDistributedContext(ctx context.Context, sql string) ([]row.Row, error) {
-	r, cleanup, jc, tid, ok := q.distributed(ctx, sql)
+	r, ec, cleanup, jc, tid, ok := q.distributed(ctx, sql)
 	if !ok {
 		return q.CollectContext(ctx)
 	}
 	defer cleanup()
 	start := time.Now()
 	rows, err := r.CollectContext(jc)
-	q.finishEvent(tid, "collect", start, int64(len(rows)), err)
+	q.finishEvent(ec, tid, "collect", start, int64(len(rows)), err)
 	return rows, err
 }
 
 // CountDistributedContext is CountContext over the distributed wrapper.
 func (q *QueryExecution) CountDistributedContext(ctx context.Context, sql string) (int64, error) {
-	r, cleanup, jc, tid, ok := q.distributed(ctx, sql)
+	r, ec, cleanup, jc, tid, ok := q.distributed(ctx, sql)
 	if !ok {
 		return q.CountContext(ctx)
 	}
 	defer cleanup()
 	start := time.Now()
 	n, err := r.CountContext(jc)
-	q.finishEvent(tid, "count", start, n, err)
+	q.finishEvent(ec, tid, "count", start, n, err)
 	return n, err
 }
 
@@ -392,10 +392,10 @@ func (q *QueryExecution) CountDistributedContext(ctx context.Context, sql string
 // task payloads carry it so worker replies come back as TaskReply
 // envelopes; with it off the trace id is "" and the wire format is
 // byte-identical to the pre-observability protocol.
-func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[row.Row], func(), context.Context, string, bool) {
+func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[row.Row], *physical.ExecContext, func(), context.Context, string, bool) {
 	rt := q.engine.cluster
 	if rt == nil || sql == "" {
-		return nil, nil, nil, "", false
+		return nil, nil, nil, nil, "", false
 	}
 	rt.RefreshSession()
 	sessionID, epoch := rt.session()
@@ -412,7 +412,7 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 	pp, err := q.prepare(jc, ec)
 	if err != nil {
 		cleanup()
-		return nil, nil, nil, "", false
+		return nil, nil, nil, nil, "", false
 	}
 	decisions := decisionSpecs(q.Decisions)
 	local := pp.Execute(ec)
@@ -452,7 +452,7 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 			return row.DecodeRows(reply.Rows)
 		}
 	}
-	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), cleanup, jc, traceID, true
+	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), ec, cleanup, jc, traceID, true
 }
 
 // decisionSpecs converts adaptive decisions to their wire form.

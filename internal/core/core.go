@@ -63,8 +63,8 @@ type Config struct {
 	// unlimited). When set, every query runs under a memory pool: blocking
 	// operators (sort, aggregation, sort-merge join, distinct) reserve
 	// their buffered state through it and spill encoded runs/partitions to
-	// the engine's spill DFS when the pool is exhausted, with results
-	// byte-identical to the unbounded path.
+	// the engine's spill DFS when the pool is exhausted. Answers are the
+	// same at any budget.
 	MemoryBudget int64
 	// Adaptive enables adaptive query execution: plans split into a stage
 	// DAG at their exchanges, stages materialize bottom-up, and observed
@@ -231,7 +231,6 @@ func (e *Engine) ExecContext() *physical.ExecContext {
 	ec := &physical.ExecContext{
 		RDD:               e.RDDCtx,
 		Codegen:           e.Cfg.Codegen,
-		Vectorized:        e.Cfg.Planner.Vectorize,
 		ShufflePartitions: e.Cfg.ShufflePartitions,
 		Metrics:           e.Cfg.Metrics,
 	}
@@ -252,8 +251,8 @@ func (e *Engine) ExecContext() *physical.ExecContext {
 
 // RDD lazily builds the result RDD. The context it executes under has no
 // memory pool: spill lifecycle needs a query scope to clean up after, which
-// a bare RDD handed to arbitrary caller code does not have. Operators run
-// their unbounded in-memory paths, exactly as before memory management.
+// a bare RDD handed to arbitrary caller code does not have. Without a
+// pool, sorts and aggregations keep their whole state in memory.
 func (q *QueryExecution) RDD() *rdd.RDD[row.Row] {
 	ec := q.engine.ExecContext()
 	ec.Pool = nil
@@ -325,11 +324,11 @@ func (q *QueryExecution) CollectContext(ctx context.Context) ([]row.Row, error) 
 	start := time.Now()
 	p, err := q.prepare(jc, ec)
 	if err != nil {
-		q.finishEvent(tid, "collect", start, 0, err)
+		q.finishEvent(ec, tid, "collect", start, 0, err)
 		return nil, err
 	}
 	rows, err := p.Execute(ec).CollectContext(jc)
-	q.finishEvent(tid, "collect", start, int64(len(rows)), err)
+	q.finishEvent(ec, tid, "collect", start, int64(len(rows)), err)
 	return rows, err
 }
 
@@ -348,11 +347,11 @@ func (q *QueryExecution) CountContext(ctx context.Context) (int64, error) {
 	start := time.Now()
 	p, err := q.prepare(jc, ec)
 	if err != nil {
-		q.finishEvent(tid, "count", start, 0, err)
+		q.finishEvent(ec, tid, "count", start, 0, err)
 		return 0, err
 	}
 	n, err := p.Execute(ec).CountContext(jc)
-	q.finishEvent(tid, "count", start, n, err)
+	q.finishEvent(ec, tid, "count", start, n, err)
 	return n, err
 }
 
@@ -391,11 +390,11 @@ func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, err
 	start := time.Now()
 	p, err := q.prepare(jc, ec)
 	if err != nil {
-		q.finishEvent(tid, "explain-analyze", start, 0, err)
+		q.finishEvent(ec, tid, "explain-analyze", start, 0, err)
 		return "", err
 	}
 	rows, err := p.Execute(ec).CollectContext(jc)
-	q.finishEvent(tid, "explain-analyze", start, int64(len(rows)), err)
+	q.finishEvent(ec, tid, "explain-analyze", start, int64(len(rows)), err)
 	if err != nil {
 		return "", err
 	}

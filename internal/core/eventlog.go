@@ -47,8 +47,7 @@ type QueryEvent struct {
 	Millis      float64        `json:"millis"`
 	Rows        int64          `json:"rows"`
 	Err         string         `json:"err,omitempty"`
-	Spills      int64          `json:"spills,omitempty"`    // memory.spill.count at completion
-	Fallbacks   int64          `json:"fallbacks,omitempty"` // cluster.fallback at completion
+	Spills      int64          `json:"spills,omitempty"` // spill events of this query's memory pool
 	Stages      []StageActual  `json:"stages,omitempty"`
 	Workers     []WorkerActual `json:"workers,omitempty"`
 }

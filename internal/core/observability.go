@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/physical"
 	"repro/internal/rdd"
 )
 
@@ -42,12 +43,11 @@ func (q *QueryExecution) SetSQL(sql string) { q.SQLText = sql }
 
 // finishEvent appends one event-log entry for a completed action. No-op
 // when observability is off (tid == "").
-func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows int64, err error) {
+func (q *QueryExecution) finishEvent(ec *physical.ExecContext, tid, action string, start time.Time, rows int64, err error) {
 	if tid == "" {
 		return
 	}
 	e := q.engine
-	reg := e.RDDCtx.Metrics()
 	ev := QueryEvent{
 		ID:          tid,
 		SQL:         q.SQLText,
@@ -58,8 +58,7 @@ func (q *QueryExecution) finishEvent(tid, action string, start time.Time, rows i
 		StartUnixMS: start.UnixMilli(),
 		Millis:      float64(time.Since(start).Microseconds()) / 1e3,
 		Rows:        rows,
-		Spills:      reg.Counter("memory.spill.count").Load(),
-		Fallbacks:   reg.Counter("cluster.fallback").Load(),
+		Spills:      ec.Pool.SpillCount(),
 	}
 	if err != nil {
 		ev.Err = err.Error()

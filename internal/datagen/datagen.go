@@ -74,14 +74,15 @@ var countryCodes = []string{"USA", "DEU", "FRA", "GBR", "JPN", "BRA", "IND", "CH
 var searchWords = []string{"spark", "sql", "catalyst", "dataframe", "shark", "impala", "hive", "hadoop"}
 
 // UserVisitRow generates uservisits row i against a rankings table of
-// numURLs pages. Visit dates span 1980-01-01..1980-04-10 ±, matching the
-// Figure 8 Q3 date-range parameters.
+// numURLs pages. Visit dates spread uniformly over 1980-01-02..1980-12-31,
+// the range the Figure 8 Q3 date cutoffs slice.
 func UserVisitRow(seed uint64, i, numURLs int64) row.Row {
 	u := uint64(i)
 	ip := fmt.Sprintf("%d.%d.%d.%d",
 		1+rng(seed, u)%223, rng(seed+1, u)%256, rng(seed+2, u)%256, 1+rng(seed+3, u)%254)
 	dest := pageURL(int64(rng(seed+4, u) % uint64(numURLs)))
-	// Days since epoch for 1980-01-01 is 3653; spread visits over a year.
+	// Day 3653 is 1980-01-02 (1980-01-01 is day 3652); spread visits over
+	// the 365 days from there.
 	visit := int32(3653 + int32(rng(seed+5, u)%365))
 	revenue := rngFloat(seed+6, u) * 100.0
 	agent := fmt.Sprintf("agent-%d", rng(seed+7, u)%50)

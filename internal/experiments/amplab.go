@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
+	"time"
 
 	sparksql "repro"
 	"repro/internal/datagen"
@@ -124,11 +125,14 @@ func Q3(cutoff string) string {
 	return fmt.Sprintf(`
 		SELECT sourceIP, SUM(adRevenue) AS totalRevenue, AVG(pageRank) AS avgPageRank
 		FROM rankings R JOIN uservisits UV ON R.pageURL = UV.destURL
-		WHERE UV.visitDate >= '1980-01-01' AND UV.visitDate <= '%s'
+		WHERE UV.visitDate >= '%s' AND UV.visitDate <= '%s'
 		GROUP BY sourceIP
 		ORDER BY totalRevenue DESC
-		LIMIT 1`, cutoff)
+		LIMIT 1`, q3From, cutoff)
 }
+
+// q3From is Q3's lower visitDate bound.
+const q3From = "1980-01-01"
 
 // Q3Params are the a/b/c date cutoffs (≈25 %, 50 %, 100 % of visits).
 var Q3Params = []string{"1980-04-01", "1980-07-01", "1981-01-01"}
@@ -244,7 +248,7 @@ func (a *AMPLab) NativeQ3(cutoff int32) (string, float64) {
 	}
 	agg := make(map[string]*acc, 1<<16)
 	for i := range vIP {
-		if vDate[i] < 3653 || vDate[i] > cutoff {
+		if vDate[i] < q3FromDay || vDate[i] > cutoff {
 			continue
 		}
 		rank, ok := ranks[vDest[i]]
@@ -269,8 +273,24 @@ func (a *AMPLab) NativeQ3(cutoff int32) (string, float64) {
 	return bestIP, bestRev
 }
 
-// Q3Cutoffs mirror Q3Params as day numbers.
-var Q3Cutoffs = []int32{3653 + 91, 3653 + 182, 3653 + 366}
+// Q3Cutoffs are Q3Params as DATE values (days since 1970-01-01), and
+// q3FromDay is q3From's.
+var (
+	Q3Cutoffs = dayNumbers(Q3Params...)
+	q3FromDay = dayNumbers(q3From)[0]
+)
+
+func dayNumbers(dates ...string) []int32 {
+	out := make([]int32, len(dates))
+	for i, d := range dates {
+		t, err := time.Parse(time.DateOnly, d)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = int32(t.Unix() / 86400)
+	}
+	return out
+}
 
 // NativeQ4 runs the UDF aggregation with direct calls.
 func (a *AMPLab) NativeQ4() int64 {

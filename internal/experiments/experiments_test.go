@@ -116,6 +116,20 @@ func TestAMPLabEnginesAgree(t *testing.T) {
 	}
 }
 
+// Q3's cutoffs are the DATE values of its SQL literals, so NativeQ3 and
+// the SQL query select the same visits.
+func TestQ3CutoffsMatchDateLiterals(t *testing.T) {
+	if q3FromDay != 3652 {
+		t.Fatalf("1980-01-01 = day %d, want 3652", q3FromDay)
+	}
+	want := []int32{3743, 3834, 4018} // 1980-04-01, 1980-07-01, 1981-01-01
+	for i, w := range want {
+		if Q3Cutoffs[i] != w {
+			t.Fatalf("Q3Cutoffs[%d] (%s) = %d, want %d", i, Q3Params[i], Q3Cutoffs[i], w)
+		}
+	}
+}
+
 func TestFederationPushdownReducesTransfer(t *testing.T) {
 	fed, err := NewFederation(1_000, 4_000)
 	if err != nil {

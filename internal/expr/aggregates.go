@@ -20,10 +20,16 @@ type AggregateFunc interface {
 	NewBuffer() any
 	// Update folds one input row into the buffer and returns it.
 	Update(buf any, r row.Row) any
-	// Merge combines two buffers (partial aggregation across partitions).
+	// Merge folds buffer b into a (partial aggregation across partitions)
+	// and returns the result; it may modify a, and only reads b.
 	Merge(a, b any) any
 	// Result extracts the aggregate value from a buffer.
 	Result(buf any) any
+	// EncodeBuffer flattens a buffer into a Row of row-codec values, and
+	// DecodeBuffer rebuilds an equivalent buffer: the round trip a spilled
+	// aggregation map takes through disk.
+	EncodeBuffer(buf any) row.Row
+	DecodeBuffer(r row.Row) any
 }
 
 // ContainsAggregate reports whether e has an AggregateFunc anywhere in its
@@ -42,18 +48,6 @@ func ContainsAggregate(e Expression) bool {
 
 func aggEvalPanic(e Expression) any {
 	panic(fmt.Sprintf("expr: aggregate %s evaluated as a row expression; use buffers", e))
-}
-
-// SpillableAggregate is implemented by aggregates whose buffers round-trip
-// through the row spill codec: EncodeBuffer flattens a buffer into a Row of
-// codec-supported values and DecodeBuffer rebuilds an equivalent buffer.
-// The spillable hash aggregation requires every aggregate in the query to
-// implement it (all built-ins do); a custom aggregate without it simply
-// keeps that query on the unbounded in-memory path.
-type SpillableAggregate interface {
-	AggregateFunc
-	EncodeBuffer(buf any) row.Row
-	DecodeBuffer(r row.Row) any
 }
 
 // ---------------------------------------------------------------------------

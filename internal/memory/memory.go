@@ -73,8 +73,12 @@ func (p *Pool) Peak() int64 {
 	return p.peak
 }
 
-// SpillCount returns how many spill events the pool has recorded.
+// SpillCount returns how many spill events the pool has recorded (0 for a
+// nil pool).
 func (p *Pool) SpillCount() int64 {
+	if p == nil {
+		return 0
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.spillCount

@@ -175,89 +175,37 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, pa
 		return row.HashValue(p.key)
 	})
 
-	// Phase 2: final merge + result evaluation. Under a memory budget (and
-	// when every aggregate can round-trip its buffer through the spill
-	// codec — all built-ins can) the merge map is a grace hash aggregation
-	// that partitions itself to disk instead of growing unbounded.
-	if fnsS := spillableFns(fns); ctx.SpillEnabled() && fnsS != nil {
-		return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, p int, in []aggPartial) ([]row.Row, error) {
-			start := time.Now()
-			g := newSpillableGroups(ctx, "agg", fnsS)
-			defer g.Close()
-			for i := range in {
-				part := &in[i]
-				err := g.upsert(part.key, part.groupVals, func(st *aggState) {
-					for j, fn := range fns {
-						st.buffers[j] = fn.Merge(st.buffers[j], part.buffers[j])
-					}
-				})
-				if err != nil {
-					return nil, err
-				}
-			}
-			states, err := g.Finish()
-			if err != nil {
+	// Phase 2: final merge + result evaluation. The merge map is a grace
+	// hash aggregation: under a memory budget it partitions itself to disk
+	// instead of growing unbounded.
+	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, p int, in []aggPartial) ([]row.Row, error) {
+		start := time.Now()
+		g := newSpillableGroups(ctx, "agg", fns, len(in))
+		defer g.Close()
+		for i := range in {
+			if err := g.add(in[i].key, in[i].groupVals, in[i].buffers); err != nil {
 				return nil, err
 			}
-			// A global aggregate over an empty input still emits one row.
-			if len(h.Grouping) == 0 && len(states) == 0 && p == 0 {
-				bufs := make([]any, len(fns))
-				for i, fn := range fns {
-					bufs[i] = fn.NewBuffer()
-				}
-				states = append(states, &aggState{buffers: bufs})
-			}
-			out := make([]row.Row, 0, len(states))
-			for _, st := range states {
-				synthetic := make(row.Row, len(h.Grouping)+len(fns))
-				copy(synthetic, st.groupVals)
-				for i, fn := range fns {
-					synthetic[len(h.Grouping)+i] = fn.Result(st.buffers[i])
-				}
-				result := make(row.Row, len(resultEvals))
-				for i, ev := range resultEvals {
-					result[i] = ev(synthetic)
-				}
-				out = append(out, result)
-			}
-			om.RecordPartition(len(out), time.Since(start))
-			om.RecordSpill(g.Stats())
-			return out, nil
-		})
-	}
-	return rdd.MapPartitions(shuffled, func(p int, in []aggPartial) []row.Row {
-		start := time.Now()
-		groups := make(map[string]*aggPartial, len(in))
-		order := make([]string, 0, len(in))
-		for i := range in {
-			g, ok := groups[in[i].key]
-			if !ok {
-				cp := in[i]
-				groups[cp.key] = &cp
-				order = append(order, cp.key)
-				continue
-			}
-			for j, fn := range fns {
-				g.buffers[j] = fn.Merge(g.buffers[j], in[i].buffers[j])
-			}
+		}
+		states, err := g.Finish()
+		if err != nil {
+			return nil, err
 		}
 		// A global aggregate over an empty input still emits one row
 		// (SELECT count(*) FROM empty => 0).
-		if len(h.Grouping) == 0 && len(order) == 0 && p == 0 {
+		if len(h.Grouping) == 0 && len(states) == 0 && p == 0 {
 			bufs := make([]any, len(fns))
 			for i, fn := range fns {
 				bufs[i] = fn.NewBuffer()
 			}
-			groups[""] = &aggPartial{buffers: bufs}
-			order = append(order, "")
+			states = append(states, &aggState{buffers: bufs})
 		}
-		out := make([]row.Row, 0, len(order))
-		for _, key := range order {
-			g := groups[key]
+		out := make([]row.Row, 0, len(states))
+		for _, st := range states {
 			synthetic := make(row.Row, len(h.Grouping)+len(fns))
-			copy(synthetic, g.groupVals)
+			copy(synthetic, st.groupVals)
 			for i, fn := range fns {
-				synthetic[len(h.Grouping)+i] = fn.Result(g.buffers[i])
+				synthetic[len(h.Grouping)+i] = fn.Result(st.buffers[i])
 			}
 			result := make(row.Row, len(resultEvals))
 			for i, ev := range resultEvals {
@@ -266,7 +214,8 @@ func (h *HashAggregateExec) finalMerge(ctx *ExecContext, om *OperatorMetrics, pa
 			out = append(out, result)
 		}
 		om.RecordPartition(len(out), time.Since(start))
-		return out
+		om.RecordSpill(g.Stats())
+		return out, nil
 	})
 }
 
@@ -357,46 +306,29 @@ func (d *DistinctExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		return row.Hash(r, ords)
 	}, rowShuffleCodec)
 	om := d.EnableMetrics(ctx.Metrics)
-	// Under a memory budget the dedup map is the aggregation machinery with
-	// zero aggregate buffers: grace-partitioned to disk, re-merged on read,
-	// emitted in first-seen order.
-	if ctx.SpillEnabled() {
-		return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
-			start := time.Now()
-			g := newSpillableGroups(ctx, "distinct", nil)
-			defer g.Close()
-			for _, r := range in {
-				if err := g.upsert(row.GroupKey(r, ords), r, func(*aggState) {}); err != nil {
-					return nil, err
-				}
-			}
-			states, err := g.Finish()
-			if err != nil {
+	// The dedup map is the aggregation machinery with zero aggregate
+	// buffers: grace-partitioned to disk under a memory budget, emitted in
+	// first-seen order.
+	return rdd.MapPartitionsCtx(shuffled, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
+		start := time.Now()
+		g := newSpillableGroups(ctx, "distinct", nil, len(in))
+		defer g.Close()
+		for _, r := range in {
+			if err := g.add(row.GroupKey(r, ords), r, nil); err != nil {
 				return nil, err
 			}
-			out := make([]row.Row, 0, len(states))
-			for _, st := range states {
-				out = append(out, st.groupVals)
-			}
-			om.RecordPartition(len(out), time.Since(start))
-			om.RecordSpill(g.Stats())
-			return out, nil
-		})
-	}
-	return rdd.MapPartitions(shuffled, func(_ int, in []row.Row) []row.Row {
-		start := time.Now()
-		seen := make(map[string]struct{}, len(in))
-		out := make([]row.Row, 0, len(in))
-		for _, r := range in {
-			k := row.GroupKey(r, ords)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, r)
+		}
+		states, err := g.Finish()
+		if err != nil {
+			return nil, err
+		}
+		out := make([]row.Row, 0, len(states))
+		for _, st := range states {
+			out = append(out, st.groupVals)
 		}
 		om.RecordPartition(len(out), time.Since(start))
-		return out
+		om.RecordSpill(g.Stats())
+		return out, nil
 	})
 }
 func (d *DistinctExec) SimpleString() string { return "Distinct" }

@@ -11,45 +11,56 @@ import (
 	"repro/internal/row"
 )
 
-// Grace hash aggregation: the disk-backed final-merge state under
-// HashAggregateExec and DistinctExec. Groups accumulate in an in-memory
-// map whose bytes are reserved from the query's memory pool; when a
-// reservation fails (or the pool picks this map as its largest victim)
-// every group record is encoded and appended to one of aggSpillFanout
-// hash-partitioned spill files, and the reservation is released. Finish
-// re-reads each disk partition — a bounded ~1/fanout slice of the spilled
-// state — merging buffers for keys flushed more than once, and returns all
-// groups ordered by their first-seen sequence number: exactly the
-// insertion order the in-memory path emits, so results are byte-identical
-// at any budget.
+// Grace hash aggregation: the final-merge state of HashAggregateExec and
+// DistinctExec. Groups accumulate in an in-memory map. Without a memory pool
+// that map is all there is. With one, each new group's bytes are reserved
+// from the pool; when a reservation fails (or the pool picks this map as its
+// largest victim) every group record is encoded and appended to one of
+// aggSpillFanout hash-partitioned spill files, and the reservation is
+// released. Finish returns the groups in first-seen order: straight from the
+// map when nothing spilled, otherwise by re-reading each disk partition — a
+// bounded ~1/fanout slice of the spilled state — merging buffers for keys
+// flushed more than once, and ordering by first-seen sequence number.
 
 // aggSpillFanout is the number of hash partitions a spilled aggregation
 // map fans out to; each Finish-side merge holds ~1/fanout of the state.
 const aggSpillFanout = 16
 
+// aggStateChunk caps how many group states (or buffer sets) are allocated
+// together.
+const aggStateChunk = 256
+
 // aggState is one group's accumulated state: its first-seen sequence (the
 // emission-order key), the grouping values and one buffer per aggregate.
+// Until a second partial arrives for the group, buffers are the first
+// partial's own (owned == false) and are only read: partials are the
+// shuffle's memoized output, which every execution of the plan re-reads.
 type aggState struct {
 	seq       int64
 	groupVals row.Row
 	buffers   []any
+	owned     bool
 }
 
 // spillableGroups is a key → aggState map that degrades to grace hash
 // partitioning on disk under memory pressure. fns may be empty (Distinct:
 // groups with no aggregation buffers). All methods are called by the
 // owning task; the pool's spill callback may fire concurrently from any
-// goroutine and is serialized through mu.
+// goroutine and is serialized through mu. Without a pool there is no
+// callback, so nothing locks.
 type spillableGroups struct {
 	ctx  *ExecContext
 	op   string
-	fns  []expr.SpillableAggregate
-	cons *memory.Consumer
+	fns  []expr.AggregateFunc
+	cons *memory.Consumer // nil without a pool: the map never spills
 
 	mu       sync.Mutex
 	groups   map[string]*aggState
-	seq      int64 // next first-seen sequence
-	memBytes int64 // bytes reserved for the current map
+	order    []*aggState // the in-memory groups, first seen first
+	states   []aggState  // unused tail of the current state chunk
+	bufs     []any       // unused tail of the current buffer chunk
+	seq      int64       // next first-seen sequence
+	memBytes int64       // bytes reserved for the current map
 	prefix   string
 	blocks   [aggSpillFanout]int // blocks appended per spill partition
 	spillErr error
@@ -58,11 +69,17 @@ type spillableGroups struct {
 	spillRuns    int64
 }
 
-func newSpillableGroups(ctx *ExecContext, op string, fns []expr.SpillableAggregate) *spillableGroups {
-	g := &spillableGroups{ctx: ctx, op: op, fns: fns, groups: make(map[string]*aggState)}
+// newSpillableGroups creates the map for one task. sizeHint (the number of
+// records the task will add) presizes it when there is no pool, since then
+// every group stays in memory anyway.
+func newSpillableGroups(ctx *ExecContext, op string, fns []expr.AggregateFunc, sizeHint int) *spillableGroups {
+	g := &spillableGroups{ctx: ctx, op: op, fns: fns}
 	if ctx.SpillEnabled() {
 		g.cons = ctx.Pool.NewConsumer(op, g.poolSpill)
+		sizeHint = 0
 	}
+	g.groups = make(map[string]*aggState, sizeHint)
+	g.order = make([]*aggState, 0, sizeHint)
 	return g
 }
 
@@ -85,10 +102,14 @@ func groupSize(gv row.Row, numFns int) int64 {
 	return gv.ObjectSize() + 48*int64(numFns) + 64
 }
 
-// upsert folds one occurrence of (key, gv) into the map: apply runs under
-// the internal mutex with the group's state, freshly created (NewBuffer
-// per aggregate) if the key is absent. The key must equal stateKey(gv).
-func (g *spillableGroups) upsert(key string, gv row.Row, apply func(st *aggState)) error {
+// add folds one partial group — its key (which must equal stateKey(gv)),
+// grouping values and one buffer per aggregate — into the map. bufs are
+// read, never written.
+func (g *spillableGroups) add(key string, gv row.Row, bufs []any) error {
+	if g.cons == nil {
+		g.addLocked(key, gv, bufs, 0)
+		return nil
+	}
 	g.mu.Lock()
 	if g.spillErr != nil {
 		err := g.spillErr
@@ -96,7 +117,7 @@ func (g *spillableGroups) upsert(key string, gv row.Row, apply func(st *aggState
 		return err
 	}
 	if st, ok := g.groups[key]; ok {
-		apply(st)
+		g.merge(st, bufs)
 		g.mu.Unlock()
 		return nil
 	}
@@ -106,21 +127,18 @@ func (g *spillableGroups) upsert(key string, gv row.Row, apply func(st *aggState
 	// spill other consumers, which take their own mutexes); an exhausted
 	// pool triggers a self-spill of the whole map, then the irreducible
 	// one-group working set is forced through Grow.
-	var n int64
-	if g.cons != nil {
-		n = groupSize(gv, len(g.fns))
-		if err := g.cons.Acquire(n); err != nil {
-			if !errors.Is(err, memory.ErrNoMemory) {
-				return err
-			}
-			g.mu.Lock()
-			err = g.spillLocked()
-			g.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			g.cons.Grow(n)
+	n := groupSize(gv, len(g.fns))
+	if err := g.cons.Acquire(n); err != nil {
+		if !errors.Is(err, memory.ErrNoMemory) {
+			return err
 		}
+		g.mu.Lock()
+		err = g.spillLocked()
+		g.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		g.cons.Grow(n)
 	}
 
 	g.mu.Lock()
@@ -130,18 +148,66 @@ func (g *spillableGroups) upsert(key string, gv row.Row, apply func(st *aggState
 	}
 	// Only the owning task inserts; a concurrent pool spill can only have
 	// emptied the map, so the key is still absent here.
-	st := &aggState{seq: g.seq, groupVals: gv}
-	g.seq++
-	if len(g.fns) > 0 {
-		st.buffers = make([]any, len(g.fns))
-		for i, fn := range g.fns {
-			st.buffers[i] = fn.NewBuffer()
-		}
-	}
-	g.groups[key] = st
-	g.memBytes += n
-	apply(st)
+	g.addLocked(key, gv, bufs, n)
 	return nil
+}
+
+// addLocked is add once any reservation is made; n is the reserved bytes.
+// Caller holds g.mu when a pool is attached.
+func (g *spillableGroups) addLocked(key string, gv row.Row, bufs []any, n int64) {
+	if st, ok := g.groups[key]; ok {
+		g.merge(st, bufs)
+		return
+	}
+	if len(g.states) == 0 {
+		g.states = make([]aggState, g.chunkLen())
+	}
+	st := &g.states[0]
+	g.states = g.states[1:]
+	*st = aggState{seq: g.seq, groupVals: gv, buffers: bufs}
+	g.seq++
+	g.groups[key] = st
+	g.order = append(g.order, st)
+	g.memBytes += n
+}
+
+// merge folds bufs into an existing group, first copying the group's
+// borrowed buffers into fresh ones of its own.
+func (g *spillableGroups) merge(st *aggState, bufs []any) {
+	if len(g.fns) == 0 {
+		return
+	}
+	if !st.owned {
+		own := g.newBuffers()
+		for i, fn := range g.fns {
+			own[i] = fn.Merge(own[i], st.buffers[i])
+		}
+		st.buffers, st.owned = own, true
+	}
+	for i, fn := range g.fns {
+		st.buffers[i] = fn.Merge(st.buffers[i], bufs[i])
+	}
+}
+
+// newBuffers returns one empty buffer per aggregate, carving the slice from
+// a shared chunk.
+func (g *spillableGroups) newBuffers() []any {
+	k := len(g.fns)
+	if len(g.bufs) < k {
+		g.bufs = make([]any, k*g.chunkLen())
+	}
+	out := g.bufs[:k:k]
+	g.bufs = g.bufs[k:]
+	for i, fn := range g.fns {
+		out[i] = fn.NewBuffer()
+	}
+	return out
+}
+
+// chunkLen is how many states (or buffer sets) the next chunk holds: as
+// many as the map already has, so chunks double, within [8, aggStateChunk].
+func (g *spillableGroups) chunkLen() int {
+	return max(8, min(len(g.order), aggStateChunk))
 }
 
 // poolSpill is the memory pool's victim callback.
@@ -197,7 +263,9 @@ func (g *spillableGroups) spillLocked() error {
 	g.spillRuns++
 	g.spilledBytes += runBytes
 	g.ctx.Pool.RecordSpill(runBytes)
+	// Drop every reference to the flushed groups, chunks included.
 	g.groups = make(map[string]*aggState)
+	g.order, g.states, g.bufs = nil, nil, nil
 	freed := g.memBytes
 	g.memBytes = 0
 	g.cons.Release(freed)
@@ -218,7 +286,7 @@ func (g *spillableGroups) decodeState(rec row.Row) (*aggState, error) {
 	if len(rec) != 3 {
 		return nil, fmt.Errorf("physical: malformed spilled group record (%d fields)", len(rec))
 	}
-	st := &aggState{seq: rec[0].(int64), groupVals: rec[1].(row.Row)}
+	st := &aggState{seq: rec[0].(int64), groupVals: rec[1].(row.Row), owned: true}
 	bufs := rec[2].(row.Row)
 	if len(bufs) != len(g.fns) {
 		return nil, fmt.Errorf("physical: spilled group has %d buffers, want %d", len(bufs), len(g.fns))
@@ -239,12 +307,12 @@ func (g *spillableGroups) Stats() (bytes int64, runs int64) {
 	return g.spilledBytes, g.spillRuns
 }
 
-// Finish returns every group in first-seen order. With nothing spilled the
-// in-memory map is sorted by sequence; otherwise the remainder is flushed
-// and each disk partition is merged independently. Same-key records are
-// merged in run order — the order their updates were applied — so
-// order-sensitive buffers (FIRST) resolve exactly as in memory, and the
-// minimum sequence restores each group's original first-seen position.
+// Finish returns every group in first-seen order. With nothing spilled that
+// is the in-memory order as kept; otherwise the remainder is flushed and
+// each disk partition is merged independently. Same-key records are merged
+// in run order — the order their updates were applied — so order-sensitive
+// buffers (FIRST) resolve exactly as in memory, and the minimum sequence
+// restores each group's original first-seen position.
 func (g *spillableGroups) Finish() ([]*aggState, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -252,12 +320,8 @@ func (g *spillableGroups) Finish() ([]*aggState, error) {
 		return nil, g.spillErr
 	}
 	if g.prefix == "" {
-		out := make([]*aggState, 0, len(g.groups))
-		for _, st := range g.groups {
-			out = append(out, st)
-		}
-		g.groups = nil
-		sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+		out := g.order
+		g.groups, g.order = nil, nil
 		return out, nil
 	}
 	if err := g.spillLocked(); err != nil {
@@ -312,7 +376,7 @@ func (g *spillableGroups) Close() {
 	g.mu.Lock()
 	prefix := g.prefix
 	g.prefix = ""
-	g.groups = nil
+	g.groups, g.order, g.states, g.bufs = nil, nil, nil, nil
 	g.memBytes = 0
 	g.mu.Unlock()
 	if g.cons != nil {
@@ -321,18 +385,4 @@ func (g *spillableGroups) Close() {
 	if prefix != "" {
 		g.ctx.releaseSpillPrefix(prefix)
 	}
-}
-
-// spillableFns returns the aggregates as SpillableAggregate implementations,
-// or nil if any aggregate cannot spill (keeping that query in memory).
-func spillableFns(fns []expr.AggregateFunc) []expr.SpillableAggregate {
-	out := make([]expr.SpillableAggregate, len(fns))
-	for i, fn := range fns {
-		s, ok := fn.(expr.SpillableAggregate)
-		if !ok {
-			return nil
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -13,15 +13,16 @@ import (
 	"repro/internal/row"
 )
 
-// External merge sort: the disk-backed sort under SortExec and
-// SortMergeJoinExec. Rows accumulate in an in-memory buffer whose bytes are
-// reserved from the query's memory pool; when a reservation fails (or the
-// pool picks this sorter as its largest victim) the buffer is stable-sorted
-// and written to the spill DFS as one encoded run, and the reservation is
+// External merge sort: the sort under SortExec and SortMergeJoinExec. Rows
+// accumulate in an in-memory buffer. Without a memory pool that buffer is
+// all there is and Finish is one stable sort. With one, the buffer's bytes
+// are reserved from the pool; when a reservation fails (or the pool picks
+// this sorter as its largest victim) the buffer is stable-sorted and
+// written to the spill DFS as one encoded run, and the reservation is
 // released. Finishing k-way merges the spilled runs with the final
 // in-memory run through a loser heap that breaks comparison ties by run
 // index — runs are created in input order, so the merged output is exactly
-// the stable sort of the input: byte-identical to the in-memory path.
+// the stable sort of the input.
 
 // spillBlockRows is how many rows one spill block holds; blocks are the
 // unit of streaming reads during the merge phase.
@@ -47,13 +48,15 @@ type spillRun struct {
 	blocks int
 }
 
-// newExternalSorter creates a sorter; with spilling disabled on ctx it
-// degrades to an in-memory stable sort with zero overhead beyond the
-// buffer append.
-func newExternalSorter(ctx *ExecContext, op string, less func(a, b row.Row) bool) *externalSorter {
+// newExternalSorter creates a sorter for one task. Without a pool on ctx it
+// takes no consumer and never spills, and sizeHint (the number of rows the
+// task will add) presizes the buffer.
+func newExternalSorter(ctx *ExecContext, op string, less func(a, b row.Row) bool, sizeHint int) *externalSorter {
 	s := &externalSorter{ctx: ctx, less: less}
 	if ctx.SpillEnabled() {
 		s.cons = ctx.Pool.NewConsumer(op, s.poolSpill)
+	} else {
+		s.buf = make([]row.Row, 0, sizeHint)
 	}
 	return s
 }
@@ -112,23 +115,25 @@ func (s *externalSorter) spillLocked() error {
 }
 
 // Add appends one row, reserving its bytes first; an exhausted pool
-// triggers a self-spill of the current buffer.
+// triggers a self-spill of the current buffer. Without a pool there is no
+// spill callback, so nothing locks.
 func (s *externalSorter) Add(r row.Row) error {
-	var n int64
-	if s.cons != nil {
-		n = r.ObjectSize()
-		if err := s.cons.Acquire(n); err != nil {
-			if !errors.Is(err, memory.ErrNoMemory) {
-				return err
-			}
-			s.mu.Lock()
-			err = s.spillLocked()
-			s.mu.Unlock()
-			if err != nil {
-				return err
-			}
-			s.cons.Grow(n)
+	if s.cons == nil {
+		s.buf = append(s.buf, r)
+		return nil
+	}
+	n := r.ObjectSize()
+	if err := s.cons.Acquire(n); err != nil {
+		if !errors.Is(err, memory.ErrNoMemory) {
+			return err
 		}
+		s.mu.Lock()
+		err = s.spillLocked()
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		s.cons.Grow(n)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

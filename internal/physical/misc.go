@@ -3,7 +3,6 @@ package physical
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/expr"
@@ -14,8 +13,8 @@ import (
 // SortExec orders rows. A global sort range-partitions the input on
 // sampled sort-key boundaries (Spark's range-partitioned sort) so every
 // partition sorts in parallel and partition order is total order; a local
-// sort orders within each partition. Under a memory budget each
-// partition's sort is an external merge sort spilling runs to the DFS.
+// sort orders within each partition. Each partition's sort is an external
+// merge sort, which spills runs to the DFS under a memory budget.
 type SortExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -70,19 +69,9 @@ func (s *SortExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		child = rangePartition(ctx, child, less, s.Partitions)
 	}
 	om := s.EnableMetrics(ctx.Metrics)
-	if !ctx.SpillEnabled() {
-		return rdd.MapPartitions(child, func(_ int, in []row.Row) []row.Row {
-			start := time.Now()
-			out := make([]row.Row, len(in))
-			copy(out, in)
-			sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
-			om.RecordPartition(len(out), time.Since(start))
-			return out
-		})
-	}
 	return rdd.MapPartitionsCtx(child, func(_ context.Context, _ int, in []row.Row) ([]row.Row, error) {
 		start := time.Now()
-		sorter := newExternalSorter(ctx, "sort", less)
+		sorter := newExternalSorter(ctx, "sort", less, len(in))
 		defer sorter.Close()
 		for _, r := range in {
 			if err := sorter.Add(r); err != nil {

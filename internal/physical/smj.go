@@ -129,7 +129,7 @@ func (j *SortMergeJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		// front (in input order), inner/semi sides drop them.
 		sortRows := func(op string, in []row.Row, keyRow func(row.Row) (row.Row, bool),
 			keep func(row.Row)) ([]row.Row, int64, int64, error) {
-			sorter := newExternalSorter(ctx, op, less)
+			sorter := newExternalSorter(ctx, op, less, len(in))
 			defer sorter.Close()
 			for _, r := range in {
 				kv, ok := keyRow(r)

@@ -48,15 +48,6 @@ func (f *FusedAggregateExec) String() string { return Format(f) }
 func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	h := f.Agg
 	om := f.EnableMetrics(ctx.Metrics)
-	if !ctx.Vectorized {
-		// Runtime knob off: run the identical row-at-a-time plan, sharing
-		// this node's metrics so EXPLAIN ANALYZE annotates the printed tree.
-		agg := *h
-		agg.Child = f.Pipe
-		agg.PlanMetrics.m = om
-		return agg.Execute(ctx)
-	}
-
 	input := f.Pipe.Output()
 	groupBound := bindAll(h.Grouping, input)
 	fns, resultExprs := h.splitAggregates(input)
@@ -69,20 +60,16 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		keyOrdinals[i] = i
 	}
 
-	scan := f.Pipe.Scan
-	scanOM := scan.EnableMetrics(ctx.Metrics)
-	stages, used, _ := compileVecStages(f.Pipe.Stages, scan.Attrs)
 	// Without a projection stage the pipeline's own decode set is "every
 	// column" (rows would materialize in full); fused, the only consumers
 	// are the filters, the group keys, and the aggregate children — so
 	// narrow the decode set to exactly those.
+	var used []bool
 	if !stagesProject(f.Pipe.Stages) {
-		for j := range used {
-			used[j] = false
-		}
+		used = make([]bool, len(f.Pipe.Scan.Attrs))
 		for _, st := range f.Pipe.Stages {
 			if st.isFilter {
-				markBoundRefs(bind(st.cond, scan.Attrs), used)
+				markBoundRefs(bind(st.cond, f.Pipe.Scan.Attrs), used)
 			}
 		}
 		for _, g := range groupBound {
@@ -92,6 +79,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 			markBoundRefs(fn, used)
 		}
 	}
+	loop := f.Pipe.batchLoop(ctx, om, used)
 
 	groupVecs := make([]expr.VecEval, len(groupBound))
 	groupNative := make([]bool, len(groupBound))
@@ -99,10 +87,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		groupVecs[i], groupNative[i] = expr.CompileVec(g)
 	}
 
-	eff, colTypes := scanDecodePlan(scan, used)
-
-	table, keep := scan.Table, scan.Keep
-	partials := rdd.Generate(ctx.RDD, "fusedAgg", len(table.Partitions), func(p int) []aggPartial {
+	partials := rdd.Generate(ctx.RDD, "fusedAgg", len(f.Pipe.Scan.Table.Partitions), func(p int) []aggPartial {
 		// Per-partition mutable state: the group index table and one typed
 		// accumulator per aggregate.
 		groups := newGroupIndexer(groupBound, groupNative)
@@ -112,36 +97,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		}
 		var gidx []int32
 		var gvecs []*columnar.Vector
-		for _, b := range table.Partitions[p] {
-			if keep != nil && !keep(b.Stats) {
-				continue
-			}
-			scanOM.RecordBatch(b.NumRows)
-			if om != nil {
-				om.Batches.Add(1)
-			}
-			batch := &expr.VecBatch{Cols: b.DecodeBatch(colTypes, eff), N: b.NumRows}
-			live := make([]int32, b.NumRows)
-			for i := range live {
-				live[i] = int32(i)
-			}
-			for _, st := range stages {
-				if st.isFilter {
-					live = st.pred(batch, live)
-					if len(live) == 0 {
-						break
-					}
-					continue
-				}
-				cols := make([]*columnar.Vector, len(st.evals))
-				for j, ev := range st.evals {
-					cols[j] = ev(batch, live)
-				}
-				batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
-			}
-			if len(live) == 0 {
-				continue
-			}
+		loop.run(p, func(batch *expr.VecBatch, live []int32) {
 			gvecs = gvecs[:0]
 			for _, gv := range groupVecs {
 				gvecs = append(gvecs, gv(batch, live))
@@ -151,7 +107,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 			for _, up := range ups {
 				up.Update(batch, live, gidx, n)
 			}
-		}
+		})
 		rows := groups.groupRows()
 		out := make([]aggPartial, len(rows))
 		for g, gv := range rows {

@@ -20,9 +20,7 @@ import (
 // EXPERIMENTS.md measures against the native baseline.
 //
 // The Vectorize preparation rule swaps it in for PipelineExec over an
-// InMemoryColumnar scan when at least one stage compiles to native kernels;
-// ExecContext.Vectorized gates execution at runtime (off = identical
-// row-at-a-time semantics through PipelineExec).
+// InMemoryColumnar scan when at least one stage compiles to native kernels.
 type VectorizedPipelineExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -124,64 +122,95 @@ func markBoundRefs(e expr.Expression, used []bool) {
 }
 
 func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
-	if !ctx.Vectorized {
-		// The knob is off: run the exact row-at-a-time pipeline, sharing
-		// this node's metrics so EXPLAIN ANALYZE annotates the tree it
-		// printed rather than the transient fallback node.
-		pipe := &PipelineExec{Stages: v.Stages, Child: v.Scan}
-		pipe.PlanMetrics.m = v.EnableMetrics(ctx.Metrics)
-		return pipe.Execute(ctx)
-	}
-	scan := v.Scan
 	om := v.EnableMetrics(ctx.Metrics)
-	scanOM := scan.EnableMetrics(ctx.Metrics)
-	stages, used, _ := compileVecStages(v.Stages, scan.Attrs)
-	eff, colTypes := scanDecodePlan(scan, used)
-
-	table, keep := scan.Table, scan.Keep
-	return rdd.Generate(ctx.RDD, "cacheScanVec", len(table.Partitions), func(p int) []row.Row {
+	loop := v.batchLoop(ctx, om, nil)
+	return rdd.Generate(ctx.RDD, "cacheScanVec", len(v.Scan.Table.Partitions), func(p int) []row.Row {
 		start := time.Now()
 		var out []row.Row
-		for _, b := range table.Partitions[p] {
-			if keep != nil && !keep(b.Stats) {
-				continue
-			}
-			// The scan's rows are never materialized on this path; credit it
-			// with the batches and decoded row counts it fed the pipeline.
-			scanOM.RecordBatch(b.NumRows)
-			if om != nil {
-				om.Batches.Add(1)
-			}
-			batch := &expr.VecBatch{Cols: b.DecodeBatch(colTypes, eff), N: b.NumRows}
-			live := make([]int32, b.NumRows)
-			for i := range live {
-				live[i] = int32(i)
-			}
-			for _, st := range stages {
-				if st.isFilter {
-					live = st.pred(batch, live)
-					if len(live) == 0 {
-						break
-					}
-					continue
-				}
-				cols := make([]*columnar.Vector, len(st.evals))
-				for j, ev := range st.evals {
-					cols[j] = ev(batch, live)
-				}
-				batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
-			}
+		loop.run(p, func(batch *expr.VecBatch, live []int32) {
 			for _, i := range live {
-				r := make(row.Row, len(batch.Cols))
-				for j, c := range batch.Cols {
-					r[j] = c.Get(int(i))
-				}
-				out = append(out, r)
+				out = append(out, boxBatchRow(batch, int(i)))
 			}
-		}
+		})
 		om.RecordPartition(len(out), time.Since(start))
 		return out
 	})
+}
+
+// batchLoop is a vectorized pipeline compiled for one execution: its stage
+// kernels, the cached columns to decode, and the metrics it credits. The
+// pipeline itself and the operators fused onto it all run through it.
+type batchLoop struct {
+	scan       *InMemoryScanExec
+	stages     []vecStage
+	eff        []int
+	colTypes   []types.DataType
+	scanOM, om *OperatorMetrics
+}
+
+// batchLoop compiles the pipeline; om is the executing operator's metrics.
+// used, when non-nil, replaces the pipeline's own decode set (which scan
+// output positions to decode) with what a fused consumer actually reads.
+func (v *VectorizedPipelineExec) batchLoop(ctx *ExecContext, om *OperatorMetrics, used []bool) *batchLoop {
+	stages, pipeUsed, _ := compileVecStages(v.Stages, v.Scan.Attrs)
+	if used == nil {
+		used = pipeUsed
+	}
+	eff, colTypes := scanDecodePlan(v.Scan, used)
+	return &batchLoop{
+		scan: v.Scan, stages: stages, eff: eff, colTypes: colTypes,
+		scanOM: v.Scan.EnableMetrics(ctx.Metrics), om: om,
+	}
+}
+
+// run feeds partition p's cached batches through the pipeline: each batch
+// that survives min/max skipping has its referenced columns decoded once,
+// filters narrow the selection vector, and each projection replaces the
+// batch. sink receives every batch with surviving rows and their positions.
+func (l *batchLoop) run(p int, sink func(batch *expr.VecBatch, live []int32)) {
+	keep := l.scan.Keep
+	for _, b := range l.scan.Table.Partitions[p] {
+		if keep != nil && !keep(b.Stats) {
+			continue
+		}
+		// The scan's rows are never materialized on this path; credit it
+		// with the batches and decoded row counts it fed the pipeline.
+		l.scanOM.RecordBatch(b.NumRows)
+		if l.om != nil {
+			l.om.Batches.Add(1)
+		}
+		batch := &expr.VecBatch{Cols: b.DecodeBatch(l.colTypes, l.eff), N: b.NumRows}
+		live := make([]int32, b.NumRows)
+		for i := range live {
+			live[i] = int32(i)
+		}
+		for _, st := range l.stages {
+			if st.isFilter {
+				live = st.pred(batch, live)
+				if len(live) == 0 {
+					break
+				}
+				continue
+			}
+			cols := make([]*columnar.Vector, len(st.evals))
+			for j, ev := range st.evals {
+				cols[j] = ev(batch, live)
+			}
+			batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
+		}
+		if len(live) > 0 {
+			sink(batch, live)
+		}
+	}
+}
+
+// boxBatchRow materializes row i of a pipeline's final batch.
+func boxBatchRow(b *expr.VecBatch, i int) row.Row {
+	r := make(row.Row, len(b.Cols))
+	for j, c := range b.Cols {
+		r[j] = c.Get(i)
+	}
+	return r
 }
 
 // scanDecodePlan maps each scan output position to the cached column

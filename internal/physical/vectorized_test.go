@@ -33,16 +33,13 @@ func cachedTableForTest(rng *rand.Rand, nRows, parts, batchSize int) (*columnar.
 	return table, attrs
 }
 
-// runBoth executes the plan with the vectorized knob off and on and asserts
+// runBoth executes a row pipeline and its vectorized rewrite and asserts
 // the results are identical including row order — the byte-identical
 // contract of the acceptance criteria.
-func runBoth(t *testing.T, p SparkPlan, label string) {
+func runBoth(t *testing.T, rowPlan SparkPlan, label string) {
 	t.Helper()
-	rowCtx := execCtx(true)
-	vecCtx := execCtx(true)
-	vecCtx.Vectorized = true
-	rowRes := collect(t, p, rowCtx)
-	vecRes := collect(t, p, vecCtx)
+	rowRes := collect(t, rowPlan, execCtx(true))
+	vecRes := collect(t, Vectorize(rowPlan), execCtx(true))
 	if len(rowRes) != len(vecRes) {
 		t.Fatalf("%s: row path %d rows, vectorized %d", label, len(rowRes), len(vecRes))
 	}
@@ -170,8 +167,7 @@ func TestVectorizedExecMatchesRowPath(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		p := Vectorize(Collapse(tc.build()))
-		runBoth(t, p, tc.label)
+		runBoth(t, Collapse(tc.build()), tc.label)
 	}
 }
 
@@ -189,12 +185,13 @@ func TestVectorizedExecWithPrunedOrdinalsAndBatchSkip(t *testing.T) {
 		return row.Compare(stats[1].Max, int32(400)) >= 0
 	}
 	scan := NewInMemoryScan(pruned, table, ordinals, keep)
-	p := Vectorize(Collapse(&ProjectExec{
+	p := Collapse(&ProjectExec{
 		List:  []expr.Expression{pruned[1]},
 		Child: &FilterExec{Cond: expr.GT(pruned[0], expr.Lit(int32(400))), Child: scan},
-	}))
-	if _, ok := p.(*VectorizedPipelineExec); !ok {
-		t.Fatalf("expected vectorized plan, got %T", p)
+	})
+	vp := Vectorize(p)
+	if _, ok := vp.(*VectorizedPipelineExec); !ok {
+		t.Fatalf("expected vectorized plan, got %T", vp)
 	}
 	runBoth(t, p, "pruned+batchskip")
 }
@@ -203,9 +200,9 @@ func TestVectorizedExecEmptyTable(t *testing.T) {
 	schema := types.StructType{}.Add("x", types.Int, true)
 	table := columnar.BuildTable(schema, [][]row.Row{nil, {}}, 16)
 	attrs := []*expr.AttributeReference{expr.NewAttribute("x", types.Int, true)}
-	p := Vectorize(Collapse(&FilterExec{
+	p := Collapse(&FilterExec{
 		Cond:  expr.GT(attrs[0], expr.Lit(int32(0))),
 		Child: NewInMemoryScan(attrs, table, nil, nil),
-	}))
+	})
 	runBoth(t, p, "empty")
 }

@@ -12,8 +12,8 @@ import (
 // external-sort and spillable-aggregation operators to write sorted runs
 // and hash partitions to the simulated DFS and read them back unchanged.
 // Round-tripping is exact for every value the Row data model produces
-// (see the package comment's value mapping), which is what keeps spilled
-// execution byte-identical to the in-memory path.
+// (see the package comment's value mapping), which is what keeps a
+// spilled operator's answers equal to those it gives without spilling.
 
 const (
 	tagNil = iota

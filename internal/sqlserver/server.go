@@ -260,11 +260,14 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.execute(out, query)
-		s.inflight.Done()
 		if s.ConnTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.ConnTimeout))
 		}
-		if err := out.Flush(); err != nil {
+		// The statement stays in flight until its reply has left, so a
+		// draining Close cannot cut the connection mid-reply.
+		err := out.Flush()
+		s.inflight.Done()
+		if err != nil {
 			return
 		}
 	}

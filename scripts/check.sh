@@ -3,7 +3,10 @@
 # smoke pass over every benchmark so perf regressions that *crash* are
 # caught even when nobody reads the numbers, and the metrics-overhead
 # gate: fail if instrumented Q1 throughput regresses more than 5%
-# against a metrics-off engine on either execution path.
+# against a metrics-off engine on either execution path. It also builds
+# and tests perfbench/, the repo benchmark: a separate Go module that
+# names physical operators, so renaming one breaks it without breaking
+# the root module's build.
 # Every go test invocation carries an explicit -timeout so a distributed
 # deadlock (a worker wedged mid-handshake, a drain that never finishes)
 # fails the gate in minutes instead of hanging it.
@@ -15,6 +18,7 @@ go vet ./...
 go build ./...
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
+(cd perfbench && go test -timeout 10m ./...)
 PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/experiments/
 # Whole-stage fusion gate: fused aggregation must hold its 2x speedup over
 # the unfused vectorized path on the cached Q1 aggregate shape.

@@ -141,9 +141,10 @@ type Config struct {
 	// aggregation, distinct, and the sort-merge join the planner selects
 	// for oversized build sides — reserve their buffered state from a
 	// per-query pool and spill encoded runs/partitions to the engine's
-	// simulated DFS when it is exhausted. Results are byte-identical to
-	// the unbounded path at any budget; EXPLAIN ANALYZE reports
-	// `spilled: N B, R runs` per operator.
+	// simulated DFS when it is exhausted. Without a budget the same
+	// operators run with no reservations and never spill; answers are the
+	// same at any budget. EXPLAIN ANALYZE reports `spilled: N B, R runs`
+	// per operator.
 	MemoryBudget int64
 	// Adaptive enables adaptive query execution (Spark 3.x AQE): plans are
 	// split at their exchanges into a stage DAG, each stage's observed

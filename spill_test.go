@@ -14,7 +14,7 @@ import (
 
 // Spill property tests: under any MemoryBudget — including one byte, where
 // every blocking operator holds at most one row before spilling — query
-// results must be byte-identical to the unbounded in-memory path, and no
+// results must equal an engine-free oracle and the unbudgeted run, and no
 // spill file may survive a query, whether it completes or is cancelled.
 
 const spillRows = 4000
@@ -29,20 +29,13 @@ func spillConfig(budget int64) Config {
 	return cfg
 }
 
-// setupSpillTables registers `events` (spillRows rows, ~100 B of object
-// state each — hundreds of KB total, ≥10× the largest budget under test)
-// and a small `dim` side for joins.
-func setupSpillTables(t testing.TB, ctx *Context) {
-	t.Helper()
-	events := StructType{}.
-		Add("id", IntType, false).
-		Add("grp", IntType, false).
-		Add("name", StringType, false).
-		Add("val", DoubleType, false)
+// spillEvents generates the `events` rows: spillRows rows, ~100 B of
+// object state each — hundreds of KB total, ≥10× the largest budget under
+// test. Names are a scrambled permutation so ORDER BY does real work; 80
+// groups of ~50 rows each so sorts see heavy duplicate keys.
+func spillEvents() []Row {
 	rows := make([]Row, spillRows)
 	for i := range rows {
-		// Scrambled names so ORDER BY does real work; 80 groups of ~50
-		// rows each so sorts see heavy duplicate keys.
 		rows[i] = Row{
 			int32(i),
 			int32(i % 80),
@@ -50,7 +43,27 @@ func setupSpillTables(t testing.TB, ctx *Context) {
 			float64(i%997) * 1.5,
 		}
 	}
-	df, err := ctx.CreateDataFrame(events, rows)
+	return rows
+}
+
+// spillDim generates the small `dim` join side: the even groups, labelled.
+func spillDim() []Row {
+	var rows []Row
+	for g := 0; g < 80; g += 2 {
+		rows = append(rows, Row{int32(g), fmt.Sprintf("label%02d", g)})
+	}
+	return rows
+}
+
+// setupSpillTables registers `events` and `dim`.
+func setupSpillTables(t testing.TB, ctx *Context) {
+	t.Helper()
+	events := StructType{}.
+		Add("id", IntType, false).
+		Add("grp", IntType, false).
+		Add("name", StringType, false).
+		Add("val", DoubleType, false)
+	df, err := ctx.CreateDataFrame(events, spillEvents())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +72,7 @@ func setupSpillTables(t testing.TB, ctx *Context) {
 	dim := StructType{}.
 		Add("grp", IntType, false).
 		Add("label", StringType, false)
-	var drows []Row
-	for g := 0; g < 80; g += 2 {
-		drows = append(drows, Row{int32(g), fmt.Sprintf("label%02d", g)})
-	}
-	ddf, err := ctx.CreateDataFrame(dim, drows)
+	ddf, err := ctx.CreateDataFrame(dim, spillDim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +100,90 @@ var spillCanonQueries = []string{
 	"SELECT DISTINCT grp FROM events",
 	"SELECT e.name, e.grp, d.label FROM events e JOIN dim d ON e.grp = d.grp",
 	"SELECT e.name, d.label FROM events e LEFT JOIN dim d ON e.grp = d.grp WHERE e.id < 500",
+}
+
+// spillOracle computes the expected rows of every spill-suite query with
+// plain loops over the generated tables, without the engine. ORDER BY ties
+// keep input order: the engine's sort is stable and its partitions
+// concatenate in input order. first(name) is the group's first row in
+// input order. Every val is a multiple of 0.5 and every sum stays far below
+// 2^53, so the float sums are exact in any order.
+func spillOracle() map[string][]Row {
+	events, dim := spillEvents(), spillDim()
+	col := func(rows []Row, cols ...int) []Row {
+		out := make([]Row, len(rows))
+		for i, r := range rows {
+			o := make(Row, len(cols))
+			for j, c := range cols {
+				o[j] = r[c]
+			}
+			out[i] = o
+		}
+		return out
+	}
+	byGrpName := append([]Row(nil), events...)
+	sort.SliceStable(byGrpName, func(i, j int) bool {
+		a, b := byGrpName[i], byGrpName[j]
+		if a[1] != b[1] {
+			return a[1].(int32) < b[1].(int32)
+		}
+		return a[2].(string) < b[2].(string)
+	})
+	byGrp := append([]Row(nil), events...)
+	sort.SliceStable(byGrp, func(i, j int) bool { return byGrp[i][1].(int32) < byGrp[j][1].(int32) })
+
+	type group struct {
+		count         int64
+		sum           float64
+		min, max, fst string
+	}
+	groups := make(map[int32]*group)
+	for _, r := range events {
+		k, name := r[1].(int32), r[2].(string)
+		g, ok := groups[k]
+		if !ok {
+			g = &group{min: name, max: name, fst: name}
+			groups[k] = g
+		}
+		g.count++
+		g.sum += r[3].(float64)
+		g.min = min(g.min, name)
+		g.max = max(g.max, name)
+	}
+	var agg, first, distinct []Row
+	for k, g := range groups {
+		agg = append(agg, Row{k, g.count, g.sum, g.sum / float64(g.count), g.min, g.max})
+		first = append(first, Row{k, g.fst})
+		distinct = append(distinct, Row{k})
+	}
+
+	labels := make(map[int32]string)
+	for _, d := range dim {
+		labels[d[0].(int32)] = d[1].(string)
+	}
+	var inner, left []Row
+	for _, r := range events {
+		label, ok := labels[r[1].(int32)]
+		if ok {
+			inner = append(inner, Row{r[2], r[1], label})
+		}
+		if r[0].(int32) < 500 {
+			if ok {
+				left = append(left, Row{r[2], label})
+			} else {
+				left = append(left, Row{r[2], nil})
+			}
+		}
+	}
+	return map[string][]Row{
+		spillExactQueries[0]: col(byGrpName, 2, 1, 3),
+		spillExactQueries[1]: col(byGrp, 1, 3),
+		spillCanonQueries[0]: agg,
+		spillCanonQueries[1]: first,
+		spillCanonQueries[2]: distinct,
+		spillCanonQueries[3]: inner,
+		spillCanonQueries[4]: left,
+	}
 }
 
 func spillCollect(t *testing.T, ctx *Context, query string) []Row {
@@ -126,18 +219,26 @@ func canonText(rows []Row) string {
 
 // TestSpillPropertyRandomBudgets runs the workload at fixed and seeded
 // random budgets — from one byte to 16 KB against hundreds of KB of data —
-// and checks every result against an unbudgeted golden run, that spilling
-// actually occurred, and that no spill file survives any query.
+// and checks every result against the engine-free oracle and against an
+// unbudgeted golden run, that spilling actually occurred, and that no spill
+// file survives any query.
 func TestSpillPropertyRandomBudgets(t *testing.T) {
+	oracle := spillOracle()
 	golden := NewContextWithConfig(spillConfig(0))
 	setupSpillTables(t, golden)
 	wantExact := make(map[string]string, len(spillExactQueries))
 	for _, q := range spillExactQueries {
 		wantExact[q] = rowsText(spillCollect(t, golden, q))
+		if want := rowsText(oracle[q]); wantExact[q] != want {
+			t.Fatalf("%q: unbudgeted run differs from the oracle:\n%s\nwant:\n%s", q, wantExact[q], want)
+		}
 	}
 	wantCanon := make(map[string]string, len(spillCanonQueries))
 	for _, q := range spillCanonQueries {
 		wantCanon[q] = canonText(spillCollect(t, golden, q))
+		if want := canonText(oracle[q]); wantCanon[q] != want {
+			t.Fatalf("%q: unbudgeted run differs from the oracle:\n%s\nwant:\n%s", q, wantCanon[q], want)
+		}
 	}
 
 	budgets := []int64{1, 127, 1 << 10, 16 << 10}
@@ -158,7 +259,7 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 			ctx.SpillFS().ReadNanosPerByte = 0
 			for _, q := range spillExactQueries {
 				if got := rowsText(spillCollect(t, ctx, q)); got != wantExact[q] {
-					t.Errorf("%q diverged from in-memory run at budget %d", q, budget)
+					t.Errorf("%q diverged from the oracle at budget %d", q, budget)
 				}
 				if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 					t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
@@ -166,7 +267,7 @@ func TestSpillPropertyRandomBudgets(t *testing.T) {
 			}
 			for _, q := range spillCanonQueries {
 				if got := canonText(spillCollect(t, ctx, q)); got != wantCanon[q] {
-					t.Errorf("%q diverged from in-memory run at budget %d", q, budget)
+					t.Errorf("%q diverged from the oracle at budget %d", q, budget)
 				}
 				if nf := ctx.SpillFS().NumFiles(); nf != 0 {
 					t.Fatalf("%q left %d spill files at budget %d", q, nf, budget)
@@ -214,6 +315,28 @@ func TestSpillExplainAnalyze(t *testing.T) {
 	}
 	if strings.Contains(gout, "spilled:") {
 		t.Fatalf("unbudgeted EXPLAIN ANALYZE mentions spilling:\n%s", gout)
+	}
+}
+
+// TestEventLogSpillsPerQuery checks that each event-log entry counts the
+// spills of its own query, not the process total.
+func TestEventLogSpillsPerQuery(t *testing.T) {
+	ctx := NewContextWithConfig(spillConfig(2 << 10))
+	setupSpillTables(t, ctx)
+	ctx.SpillFS().WriteNanosPerByte = 0
+	ctx.SpillFS().ReadNanosPerByte = 0
+	spillCollect(t, ctx, "SELECT grp, count(*), sum(val) FROM events GROUP BY grp")
+	spillCollect(t, ctx, "SELECT id FROM events WHERE id < 10")
+	events := ctx.EventLog().Events()
+	if len(events) < 2 {
+		t.Fatalf("event log has %d entries, want 2", len(events))
+	}
+	grouped, filtered := events[len(events)-2], events[len(events)-1]
+	if grouped.Spills == 0 {
+		t.Fatalf("spilling GROUP BY recorded no spills: %+v", grouped)
+	}
+	if filtered.Spills != 0 {
+		t.Fatalf("filter-only query recorded %d spills, want 0", filtered.Spills)
 	}
 }
 
