@@ -379,10 +379,10 @@ func BenchmarkFusedJoinProbe(b *testing.B) {
 	}
 }
 
-// Instrumentation overhead: the same cached Q1 scan with per-operator
-// metrics on (the default) and off, on both execution paths. The on/off
-// pairs should be indistinguishable — that is what justifies leaving
-// metrics enabled by default.
+// Observability overhead: the same cached Q1 scan with Config.Observability
+// on (the default: per-operator metrics, trace ids, span capture, event
+// log) and off, on both execution paths. The on/off pairs should be
+// indistinguishable — that is what justifies leaving it on by default.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	study, err := experiments.NewMetricsOverheadStudy(200_000)
 	if err != nil {
@@ -393,10 +393,10 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		name string
 		ctx  *sparksql.Context
 	}{
-		{"Row/MetricsOn", study.OnRow},
-		{"Row/MetricsOff", study.OffRow},
-		{"Vectorized/MetricsOn", study.OnVec},
-		{"Vectorized/MetricsOff", study.OffVec},
+		{"Row/ObservabilityOn", study.OnRow},
+		{"Row/ObservabilityOff", study.OffRow},
+		{"Vectorized/ObservabilityOn", study.OnVec},
+		{"Vectorized/ObservabilityOff", study.OffVec},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

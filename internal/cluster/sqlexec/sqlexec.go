@@ -229,8 +229,10 @@ func (e *Executor) handlePartition(jc context.Context, w *cluster.Worker, payloa
 	// sink so they ship back with the rows; without one, execute and reply
 	// byte-identically to the pre-observability protocol.
 	var sink *metrics.TraceBuffer
+	reg := s.ctx.RDDContext().Metrics()
 	if q.TraceID != "" {
 		sink = metrics.NewTraceBuffer(taskSpanCap)
+		sink.SetDropCounter(reg.Counter("trace.dropped"))
 		jc = rdd.WithTraceContext(jc, q.TraceID, q.ParentSpan, sink)
 	}
 	rows, err := bq.rdd.PartitionContext(jc, q.Partition)
@@ -245,15 +247,16 @@ func (e *Executor) handlePartition(jc context.Context, w *cluster.Worker, payloa
 		Worker:   w.ID(),
 		Rows:     block,
 		Spans:    stampWorker(sink.Snapshot(), w.ID()),
-		Counters: counterSamples(s.ctx.RDDContext().Metrics(), taskCounterAllowlist),
+		Counters: counterSamples(reg, taskCounterAllowlist),
 	}
 	return sqlwire.EncodeTaskReply(reply)
 }
 
 // taskSpanCap bounds the spans piggybacked on one task reply: a partition's
 // own task/stage/shuffle spans are a handful; retries and nested stages fit
-// comfortably, and a pathological lineage truncates (observable through the
-// worker's trace.dropped) instead of bloating the reply.
+// comfortably, and a pathological lineage truncates instead of bloating the
+// reply. Each evicted span counts in the worker's trace.dropped, which
+// rides back on every traced reply.
 const taskSpanCap = 256
 
 // taskCounterAllowlist names the worker counters piggybacked on every

@@ -274,3 +274,72 @@ func TestChaosScheduleShipsToWorkers(t *testing.T) {
 		t.Fatal("chaos run never completed a remote task")
 	}
 }
+
+// TestTaskSpanSinkCountsDrops overflows a worker's per-task span sink: a
+// 4-byte partition target sizes the GROUP BY's exchange to 300 partitions,
+// so the first task of the ORDER BY computes all 300 of them, far more
+// spans than the sink keeps. Each evicted span must count in the worker's
+// trace.dropped, which rides back to the coordinator on the traced reply.
+func TestTaskSpanSinkCountsDrops(t *testing.T) {
+	cfg := clusterConfig()
+	cfg.ShufflePartitions = 300
+	cfg.TargetPartitionBytes = 4
+	cfg.Adaptive = false
+	dist := sparksql.NewContextWithConfig(cfg)
+	defer dist.Close()
+	loadRankings(t, dist, 400, false)
+	startWorkers(t, dist, 1)
+
+	collect(t, dist, "SELECT pageRank, COUNT(*) FROM rankings GROUP BY pageRank ORDER BY pageRank")
+	if n := dist.Metrics().Counter("cluster.tasks.completed").Load(); n == 0 {
+		t.Fatal("no task completed remotely")
+	}
+	if n := dist.Cluster().WorkerCounter("w0", "trace.dropped"); n == 0 {
+		t.Fatal("worker's trace.dropped stayed 0 after its task span sink overflowed")
+	}
+}
+
+// TestDistributedEventClockCoversStages checks the event clock of a
+// distributed action with adaptive execution on: the coordinator
+// materializes the GROUP BY's map stage before it dispatches the final
+// stage, and the event must start before that materialization and time
+// it. A latency hook makes every coordinator-side stage task take 100 ms;
+// the dispatched tasks (".remote") run unhooked.
+func TestDistributedEventClockCoversStages(t *testing.T) {
+	const stageLatency = 100 * time.Millisecond
+	dist := sparksql.NewContextWithConfig(clusterConfig())
+	defer dist.Close()
+	loadRankings(t, dist, 400, false)
+	startWorkers(t, dist, 2)
+	dist.RDDContext().SetLatencyHook(func(name string, _, _ int) time.Duration {
+		if strings.HasSuffix(name, ".remote") {
+			return 0
+		}
+		return stageLatency
+	})
+
+	df, err := dist.SQL("SELECT pageRank, COUNT(*) FROM rankings GROUP BY pageRank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now()
+	if _, err := df.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if n := dist.Metrics().Counter("cluster.tasks.completed").Load(); n == 0 {
+		t.Fatal("no task completed remotely")
+	}
+	events := dist.EventLog().Events()
+	ev := events[len(events)-1]
+	if ev.Action != "collect" || ev.Err != "" {
+		t.Fatalf("unexpected final event %+v", ev)
+	}
+	// Planning runs inside Collect before the action starts, so allow it
+	// some milliseconds; the stage materialization alone takes 100.
+	if lag := ev.StartUnixMS - before.UnixMilli(); lag > 50 {
+		t.Fatalf("event starts %d ms after Collect was called: the clock missed the coordinator-side stages", lag)
+	}
+	if ev.Millis < float64(stageLatency.Milliseconds()) {
+		t.Fatalf("event lasts %.1f ms, less than the %v coordinator-side stage", ev.Millis, stageLatency)
+	}
+}

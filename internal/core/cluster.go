@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/sqlwire"
 	"repro/internal/expr"
-	"repro/internal/metrics"
 	"repro/internal/physical"
 	"repro/internal/plan"
 	"repro/internal/rdd"
@@ -359,63 +358,43 @@ func translateTaskErr(rt *ClusterRuntime, workerID string, err error) error {
 
 // CollectDistributedContext is CollectContext, but partitions are
 // dispatched to cluster workers when the engine has one attached and the
-// query arrived as SQL text (the only form we can ship). Every failure
-// mode degrades to the local path; results are identical either way.
+// query arrived as SQL text (the only form we can ship; "" runs locally).
+// Every failure mode degrades to the local path; results are identical
+// either way.
 func (q *QueryExecution) CollectDistributedContext(ctx context.Context, sql string) ([]row.Row, error) {
-	r, ec, cleanup, jc, tid, ok := q.distributed(ctx, sql)
-	if !ok {
-		return q.CollectContext(ctx)
-	}
-	defer cleanup()
-	start := time.Now()
-	rows, err := r.CollectContext(jc)
-	q.finishEvent(ec, tid, "collect", start, int64(len(rows)), err)
+	var rows []row.Row
+	_, err := q.run(ctx, q.engine.ExecContext(), "collect", sql, func(jc context.Context, r *rdd.RDD[row.Row]) (int64, error) {
+		var err error
+		rows, err = r.CollectContext(jc)
+		return int64(len(rows)), err
+	})
 	return rows, err
 }
 
 // CountDistributedContext is CountContext over the distributed wrapper.
 func (q *QueryExecution) CountDistributedContext(ctx context.Context, sql string) (int64, error) {
-	r, ec, cleanup, jc, tid, ok := q.distributed(ctx, sql)
-	if !ok {
-		return q.CountContext(ctx)
-	}
-	defer cleanup()
-	start := time.Now()
-	n, err := r.CountContext(jc)
-	q.finishEvent(ec, tid, "count", start, n, err)
+	var n int64
+	_, err := q.run(ctx, q.engine.ExecContext(), "count", sql, func(jc context.Context, r *rdd.RDD[row.Row]) (int64, error) {
+		var err error
+		n, err = r.CountContext(jc)
+		return n, err
+	})
 	return n, err
 }
 
-// distributed builds the RemoteOrLocal wrapper for this query, or reports
-// ok=false when the query must run locally. With observability on, the
-// returned trace id tags every span of the query (local and remote) and
-// task payloads carry it so worker replies come back as TaskReply
-// envelopes; with it off the trace id is "" and the wire format is
-// byte-identical to the pre-observability protocol.
-func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[row.Row], *physical.ExecContext, func(), context.Context, string, bool) {
+// distributed wraps the executed plan's local RDD in the RemoteOrLocal
+// dispatcher. Adaptive re-planning has already run on the coordinator
+// (run's prepare): stages materialized here, decisions were taken once, and
+// the decision list ships in every task so workers replay — never
+// re-derive — the adapted plan. With observability on, task payloads carry
+// the action's trace id so worker replies come back as TaskReply envelopes;
+// with it off the wire format is byte-identical to the pre-observability
+// protocol.
+func (q *QueryExecution) distributed(local *rdd.RDD[row.Row], sql string, qs queryScope) *rdd.RDD[row.Row] {
 	rt := q.engine.cluster
-	if rt == nil || sql == "" {
-		return nil, nil, nil, nil, "", false
-	}
 	rt.RefreshSession()
 	sessionID, epoch := rt.session()
-	ec := q.engine.ExecContext()
-	jc, cancel := q.engine.queryContext(ctx)
-	jc, traceID := q.engine.beginQuery(jc)
-	cleanup := func() {
-		cancel()
-		ec.CleanupSpills()
-	}
-	// Adaptive re-planning runs on the coordinator only: stages materialize
-	// here, decisions are taken once, and the decision list ships in every
-	// task so workers replay — never re-derive — the adapted plan.
-	pp, err := q.prepare(jc, ec)
-	if err != nil {
-		cleanup()
-		return nil, nil, nil, nil, "", false
-	}
 	decisions := decisionSpecs(q.Decisions)
-	local := pp.Execute(ec)
 	np := local.NumPartitions()
 	planHash := q.PlanHash()
 	payload := func(p int) []byte {
@@ -428,9 +407,9 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 			PlanHash:      planHash,
 			Decisions:     decisions,
 		}
-		if traceID != "" {
-			task.TraceID = traceID
-			task.ParentSpan = fmt.Sprintf("%s/p%d", traceID, p)
+		if qs.id != "" {
+			task.TraceID = qs.id
+			task.ParentSpan = fmt.Sprintf("%s/p%d", qs.id, p)
 		}
 		b, err := sqlwire.EncodeQuery(task)
 		if err != nil {
@@ -439,20 +418,20 @@ func (q *QueryExecution) distributed(ctx context.Context, sql string) (*rdd.RDD[
 		return b
 	}
 	decode := row.DecodeRows
-	if traceID != "" {
+	if qs.id != "" {
 		// Traced replies arrive as TaskReply envelopes: unwrap the rows and
 		// merge the worker's spans and counter samples into this
-		// coordinator's observability state.
+		// coordinator's observability state and the action's span sink.
 		decode = func(data []byte) ([]row.Row, error) {
 			reply, err := sqlwire.DecodeTaskReply(data)
 			if err != nil {
 				return nil, err
 			}
-			rt.absorbReply(reply)
+			rt.absorbReply(reply, qs.spans)
 			return row.DecodeRows(reply.Rows)
 		}
 	}
-	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode), ec, cleanup, jc, traceID, true
+	return rdd.RemoteOrLocal(local, "sql.partition", payload, decode)
 }
 
 // decisionSpecs converts adaptive decisions to their wire form.
@@ -513,13 +492,10 @@ func (q *QueryExecution) ExecutedRDD() *rdd.RDD[row.Row] {
 }
 
 // ClusterSummary renders current membership and per-worker task counts —
-// the "== Cluster ==" section of EXPLAIN ANALYZE under a cluster engine.
-func (rt *ClusterRuntime) ClusterSummary() string { return rt.ClusterSummaryFor("") }
-
-// ClusterSummaryFor is ClusterSummary with a per-worker rows/bytes/time
-// breakdown derived from merged trace spans; a non-empty trace id restricts
-// the breakdown to that query's spans, "" covers the whole retained trace.
-func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
+// the "== Cluster ==" section of EXPLAIN ANALYZE under a cluster engine —
+// with a per-worker rows/bytes/time breakdown derived from the merged
+// spans the engine's trace ring retains.
+func (rt *ClusterRuntime) ClusterSummary() string {
 	ws := rt.coord.Workers()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "workers: %d registered\n", len(ws))
@@ -527,11 +503,12 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 	fmt.Fprintf(&sb, "fallbacks: %d tasks computed locally\n",
 		reg.Counter("cluster.fallback").Load())
 	byWorker := make(map[string]WorkerActual)
-	spans := rt.e.RDDCtx.Trace().Snapshot()
-	if traceID != "" {
-		spans = filterTrace(spans, traceID)
+	ring := newSpanActuals()
+	for _, s := range rt.e.RDDCtx.Trace().Snapshot() {
+		ring.Append(s)
 	}
-	for _, wa := range workerActuals(spans) {
+	_, workers := ring.actuals()
+	for _, wa := range workers {
 		byWorker[wa.Worker] = wa
 	}
 	for _, w := range ws {
@@ -552,14 +529,4 @@ func (rt *ClusterRuntime) ClusterSummaryFor(traceID string) string {
 			wa.Tasks, wa.Rows, wa.Bytes, wa.Millis)
 	}
 	return sb.String()
-}
-
-func filterTrace(spans []metrics.Span, traceID string) []metrics.Span {
-	out := spans[:0:0]
-	for _, s := range spans {
-		if s.Trace == traceID {
-			out = append(out, s)
-		}
-	}
-	return out
 }

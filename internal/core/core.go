@@ -53,12 +53,6 @@ type Config struct {
 	// SpeculationMin is the minimum elapsed time before a task may be
 	// considered a straggler (0 = default).
 	SpeculationMin time.Duration
-	// Metrics enables per-operator instrumentation: every physical exec
-	// node records rows, batches, build sizes and wall time per partition
-	// into its PlanMetrics embed, which EXPLAIN ANALYZE reads back. The
-	// recording cost is a few atomic adds per partition (never per row),
-	// cheap enough to leave on; EXPLAIN ANALYZE forces it on regardless.
-	Metrics bool
 	// MemoryBudget bounds each query's execution memory (bytes; zero =
 	// unlimited). When set, every query runs under a memory pool: blocking
 	// operators (sort, aggregation, sort-merge join, distinct) reserve
@@ -75,12 +69,17 @@ type Config struct {
 	// SkewFactor is the multiple of the mean reduce-bucket size above which
 	// adaptive execution splits a skewed partition (0 = default 4x).
 	SkewFactor float64
-	// Observability enables distributed query observability: each action
-	// gets a trace id threaded through its job context (and, under a
-	// cluster, shipped in task specs so worker spans merge back with
-	// attribution), and completed actions append to the engine's query
-	// event log. Off, task payloads and replies are byte-identical to an
-	// engine without this layer.
+	// Observability is the one observability switch. On, every physical
+	// exec node records rows, batches, build sizes and wall time per
+	// partition into its PlanMetrics embed (a few atomic adds per
+	// partition, never per row); each action gets a trace id threaded
+	// through its job context (and, under a cluster, shipped in task specs
+	// so worker spans merge back with attribution) and a span sink that
+	// folds every span of the action into stage and worker totals; and
+	// completed actions append those totals to the engine's query event
+	// log. Off, task payloads and replies are byte-identical to an engine
+	// without this layer. EXPLAIN ANALYZE forces operator instrumentation
+	// on regardless.
 	Observability bool
 }
 
@@ -92,7 +91,6 @@ func DefaultConfig() Config {
 		Planner:           physical.DefaultPlannerConfig(),
 		ShufflePartitions: runtime.GOMAXPROCS(0),
 		Parallelism:       runtime.GOMAXPROCS(0),
-		Metrics:           true,
 		Adaptive:          true,
 		Observability:     true,
 	}
@@ -226,13 +224,13 @@ func (e *Engine) ExecuteResolved(logical, analyzed plan.LogicalPlan) (*QueryExec
 // ExecContext builds the physical execution context. With a MemoryBudget
 // configured it attaches a fresh per-query memory pool and the engine's
 // spill DFS; the caller then owns spill-file cleanup (CleanupSpills), which
-// Collect/Count/ExplainAnalyze defer.
+// every query action's run scaffold defers.
 func (e *Engine) ExecContext() *physical.ExecContext {
 	ec := &physical.ExecContext{
 		RDD:               e.RDDCtx,
 		Codegen:           e.Cfg.Codegen,
 		ShufflePartitions: e.Cfg.ShufflePartitions,
-		Metrics:           e.Cfg.Metrics,
+		Metrics:           e.Cfg.Observability,
 	}
 	if e.Cfg.Adaptive {
 		ec.Adaptive = &physical.AdaptiveConfig{
@@ -305,6 +303,32 @@ func (e *Engine) queryContext(ctx context.Context) (context.Context, context.Can
 	return context.WithCancel(ctx)
 }
 
+// run is the one scaffold every query action goes through: it derives the
+// job context (QueryTimeout, trace id, per-action span sink), starts the
+// event clock, resolves the executed plan (materializing adaptive stages),
+// hands act the result RDD — dispatched to cluster workers when sql is
+// non-empty and the engine has a cluster — records the event-log entry, and
+// deletes the action's spill files on return. It returns the executed plan.
+func (q *QueryExecution) run(ctx context.Context, ec *physical.ExecContext, action, sql string,
+	act func(jc context.Context, r *rdd.RDD[row.Row]) (int64, error)) (physical.SparkPlan, error) {
+	defer ec.CleanupSpills()
+	jc, cancel := q.engine.queryContext(ctx)
+	defer cancel()
+	jc, qs := q.engine.beginQuery(jc)
+	start := time.Now()
+	p, err := q.prepare(jc, ec)
+	var n int64
+	if err == nil {
+		r := p.Execute(ec)
+		if sql != "" && q.engine.cluster != nil {
+			r = q.distributed(r, sql, qs)
+		}
+		n, err = act(jc, r)
+	}
+	q.finishEvent(ec, qs, action, start, n, err)
+	return p, err
+}
+
 // Collect materializes the full result. Task failures (including recovered
 // compute panics) surface as a *rdd.JobError; no recover wrapper is needed
 // because no panic crosses the rdd boundary for task failures.
@@ -316,20 +340,7 @@ func (q *QueryExecution) Collect() ([]row.Row, error) {
 // engine's QueryTimeout expiring) tears down all in-flight and pending
 // tasks and returns the context error.
 func (q *QueryExecution) CollectContext(ctx context.Context) ([]row.Row, error) {
-	ec := q.engine.ExecContext()
-	defer ec.CleanupSpills()
-	jc, cancel := q.engine.queryContext(ctx)
-	defer cancel()
-	jc, tid := q.engine.beginQuery(jc)
-	start := time.Now()
-	p, err := q.prepare(jc, ec)
-	if err != nil {
-		q.finishEvent(ec, tid, "collect", start, 0, err)
-		return nil, err
-	}
-	rows, err := p.Execute(ec).CollectContext(jc)
-	q.finishEvent(ec, tid, "collect", start, int64(len(rows)), err)
-	return rows, err
+	return q.CollectDistributedContext(ctx, "")
 }
 
 // Count counts result rows without materializing them centrally.
@@ -339,20 +350,7 @@ func (q *QueryExecution) Count() (int64, error) {
 
 // CountContext is Count under a caller context.
 func (q *QueryExecution) CountContext(ctx context.Context) (int64, error) {
-	ec := q.engine.ExecContext()
-	defer ec.CleanupSpills()
-	jc, cancel := q.engine.queryContext(ctx)
-	defer cancel()
-	jc, tid := q.engine.beginQuery(jc)
-	start := time.Now()
-	p, err := q.prepare(jc, ec)
-	if err != nil {
-		q.finishEvent(ec, tid, "count", start, 0, err)
-		return 0, err
-	}
-	n, err := p.Execute(ec).CountContext(jc)
-	q.finishEvent(ec, tid, "count", start, n, err)
-	return n, err
+	return q.CountDistributedContext(ctx, "")
 }
 
 // Explain renders all plan phases.
@@ -375,26 +373,21 @@ func (q *QueryExecution) ExplainAnalyze() (string, error) {
 }
 
 // ExplainAnalyzeContext runs the query with per-operator instrumentation
-// forced on (regardless of Config.Metrics) and renders the optimized plan
-// with cardinality estimates and the physical plan annotated with both
+// forced on (regardless of Config.Observability) and renders the optimized
+// plan with cardinality estimates and the physical plan annotated with both
 // `est:` (the CBO's prediction) and `actual:` (what the run measured) per
 // node — the feedback loop that confronts estimates with reality — plus a
 // runtime summary of the result cardinality and wall time.
 func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, error) {
 	ec := q.engine.ExecContext()
 	ec.Metrics = true
-	defer ec.CleanupSpills()
-	jc, cancel := q.engine.queryContext(ctx)
-	defer cancel()
-	jc, tid := q.engine.beginQuery(jc)
 	start := time.Now()
-	p, err := q.prepare(jc, ec)
-	if err != nil {
-		q.finishEvent(ec, tid, "explain-analyze", start, 0, err)
-		return "", err
-	}
-	rows, err := p.Execute(ec).CollectContext(jc)
-	q.finishEvent(ec, tid, "explain-analyze", start, int64(len(rows)), err)
+	var rows int64
+	p, err := q.run(ctx, ec, "explain-analyze", "", func(jc context.Context, r *rdd.RDD[row.Row]) (int64, error) {
+		out, err := r.CollectContext(jc)
+		rows = int64(len(out))
+		return rows, err
+	})
 	if err != nil {
 		return "", err
 	}
@@ -405,7 +398,7 @@ func (q *QueryExecution) ExplainAnalyzeContext(ctx context.Context) (string, err
 	sb.WriteString("== Physical Plan ==\n")
 	sb.WriteString(p.String())
 	fmt.Fprintf(&sb, "== Runtime ==\nresult: %d rows in %.1f ms\n",
-		len(rows), float64(elapsed.Microseconds())/1e3)
+		rows, float64(elapsed.Microseconds())/1e3)
 	if q.engine.cluster != nil {
 		sb.WriteString("== Cluster ==\n")
 		sb.WriteString(q.engine.cluster.ClusterSummary())
@@ -435,8 +428,13 @@ var planAdapted = regexp.MustCompile(`  \(adapted: (?:[^()]|\([^()]*\))*\)`)
 // are stripped: two runs of one adapted plan shape hash alike even when
 // the observed byte counts in their notes differ.
 func (q *QueryExecution) PlanHash() uint64 {
+	return planHash(q.executedPlan().String())
+}
+
+// planHash fingerprints a rendered physical plan the way PlanHash does.
+func planHash(plan string) uint64 {
 	h := fnv.New64a()
-	norm := planIDs.ReplaceAllString(q.executedPlan().String(), "#")
+	norm := planIDs.ReplaceAllString(plan, "#")
 	norm = planActuals.ReplaceAllString(norm, "")
 	norm = planAdapted.ReplaceAllString(norm, "")
 	h.Write([]byte(norm))

@@ -17,16 +17,18 @@ import (
 )
 
 // absorbReply merges one traced task reply into coordinator state: the
-// worker's spans append to the engine trace buffer (already tagged with
-// trace id, parent span and worker identity) and its counter samples
-// replace the previous snapshot for that worker.
-func (rt *ClusterRuntime) absorbReply(r *sqlwire.TaskReply) {
+// worker's spans (already tagged with trace id, parent span and worker
+// identity) append to the engine trace ring and to the dispatching action's
+// span sink, and its counter samples replace the previous snapshot for that
+// worker.
+func (rt *ClusterRuntime) absorbReply(r *sqlwire.TaskReply, query *spanActuals) {
 	if r == nil {
 		return
 	}
 	tb := rt.e.RDDCtx.Trace()
 	for _, s := range r.Spans {
 		tb.Append(s)
+		query.Append(s)
 	}
 	if len(r.Counters) > 0 {
 		rt.storeSamples(r.Worker, r.Counters)

@@ -9,17 +9,18 @@ import (
 	"repro/internal/row"
 )
 
-// Overhead study: per-operator metrics are on by default, so their cost is
-// paid on every query — the study quantifies it. Four engines hold the same
-// cached rankings table, crossing {metrics on, metrics off} with
-// {vectorized, row-at-a-time}, and run the same Q1 scan under each. The
-// acceptance bar for the observability work is that the "on" columns stay
-// within a few percent of "off" on both execution paths.
+// Overhead study: Config.Observability is on by default, so its cost —
+// per-operator metrics, per-action trace ids and span sinks, event-log
+// appends — is paid on every query; the study quantifies it. Four engines
+// hold the same cached rankings table, crossing {observability on, off}
+// with {vectorized, row-at-a-time}, and run the same Q1 scan under each.
+// The acceptance bar is that the "on" columns stay within 5% of "off" on
+// both execution paths.
 type MetricsOverheadStudy struct {
-	OnRow  *sparksql.Context // metrics on, row-at-a-time
-	OffRow *sparksql.Context // metrics off, row-at-a-time
-	OnVec  *sparksql.Context // metrics on, vectorized
-	OffVec *sparksql.Context // metrics off, vectorized
+	OnRow  *sparksql.Context // observability on, row-at-a-time
+	OffRow *sparksql.Context // observability off, row-at-a-time
+	OnVec  *sparksql.Context // observability on, vectorized
+	OffVec *sparksql.Context // observability off, vectorized
 	N      int64
 }
 
@@ -31,9 +32,9 @@ func NewMetricsOverheadStudy(n int64) (*MetricsOverheadStudy, error) {
 	for i := int64(0); i < n; i++ {
 		rows[i] = datagen.RankingRow(42, i)
 	}
-	mk := func(metricsOn, vectorized bool) (*sparksql.Context, error) {
+	mk := func(obs, vectorized bool) (*sparksql.Context, error) {
 		cfg := sparksql.DefaultConfig()
-		cfg.Metrics = metricsOn
+		cfg.Observability = obs
 		cfg.Vectorized = vectorized
 		ctx := sparksql.NewContextWithConfig(cfg)
 		df, err := ctx.CreateDataFrame(datagen.RankingsSchema(), rows)
@@ -68,9 +69,9 @@ func (s *MetricsOverheadStudy) Run(ctx *sparksql.Context, x int32) (int64, error
 	return RunSQL(ctx, Q1(x))
 }
 
-// Overhead measures metrics-on vs metrics-off Q1 throughput on one
+// Overhead measures observability-on vs -off Q1 throughput on one
 // execution path (row or vectorized) and returns the relative slowdown of
-// the instrumented engine: 0.05 means metrics cost 5%. Negative values mean
+// the instrumented engine: 0.05 means observability costs 5%. Negative values mean
 // the instrumented run came out faster (noise). Each side runs iters
 // queries after one warm-up, interleaved on/off to decorrelate from
 // machine-load drift.

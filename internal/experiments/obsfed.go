@@ -375,52 +375,3 @@ func RunHarvestUnderLoad(workers int, n int64, queries int) error {
 	close(done)
 	return <-readerErr
 }
-
-// ObservabilityOverhead measures the cost of the observability layer the
-// way MetricsOverheadStudy measures metrics: two local engines, identical
-// cached rankings tables, observability on vs off, interleaved cached-Q1
-// runs. Returns the relative slowdown of the instrumented engine (0.05 =
-// 5%); the acceptance gate is that tracing ids + event-log appends stay
-// within a few percent.
-func ObservabilityOverhead(n int64, iters int) (float64, error) {
-	mk := func(obs bool) (*sparksql.Context, error) {
-		cfg := sparksql.DefaultConfig()
-		cfg.Observability = obs
-		ctx := sparksql.NewContextWithConfig(cfg)
-		if err := loadRankings(ctx, n, true); err != nil {
-			return nil, err
-		}
-		return ctx, nil
-	}
-	on, err := mk(true)
-	if err != nil {
-		return 0, err
-	}
-	off, err := mk(false)
-	if err != nil {
-		return 0, err
-	}
-	x := Q1Params[0]
-	for _, ctx := range []*sparksql.Context{on, off} {
-		if _, err := RunSQL(ctx, Q1(x)); err != nil {
-			return 0, err
-		}
-	}
-	var onNS, offNS int64
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if _, err := RunSQL(on, Q1(x)); err != nil {
-			return 0, err
-		}
-		onNS += time.Since(start).Nanoseconds()
-		start = time.Now()
-		if _, err := RunSQL(off, Q1(x)); err != nil {
-			return 0, err
-		}
-		offNS += time.Since(start).Nanoseconds()
-	}
-	if offNS == 0 {
-		return 0, fmt.Errorf("obsfed: zero baseline time")
-	}
-	return float64(onNS-offNS) / float64(offNS), nil
-}

@@ -14,7 +14,9 @@ import (
 //
 // Operators record per partition (or per batch), never per row, which keeps
 // the cost to a handful of atomic adds per task — cheap enough to leave on
-// by default (see BenchmarkMetricsOverhead).
+// by default. Config.Observability switches it together with the rest of
+// the observability layer, and TestObservabilityGate in
+// internal/experiments pins the whole layer within 5% of it switched off.
 type OperatorMetrics struct {
 	OutputRows atomic.Int64 // rows the operator produced
 	Partitions atomic.Int64 // partition closures observed

@@ -1,12 +1,11 @@
 #!/usr/bin/env sh
 # Full local gate: vet, build, race-enabled tests, a one-iteration
 # smoke pass over every benchmark so perf regressions that *crash* are
-# caught even when nobody reads the numbers, and the metrics-overhead
-# gate: fail if instrumented Q1 throughput regresses more than 5%
-# against a metrics-off engine on either execution path. It also builds
-# and tests perfbench/, the repo benchmark: a separate Go module that
-# names physical operators, so renaming one breaks it without breaking
-# the root module's build.
+# caught even when nobody reads the numbers, and the PERF_GATE gates
+# listed below (observability overhead, fusion, adaptive, ingest). It
+# also builds and tests perfbench/, the repo benchmark: a separate Go
+# module that names physical operators, so renaming one breaks it
+# without breaking the root module's build.
 # Every go test invocation carries an explicit -timeout so a distributed
 # deadlock (a worker wedged mid-handshake, a drain that never finishes)
 # fails the gate in minutes instead of hanging it.
@@ -19,7 +18,6 @@ go build ./...
 go test -race -timeout 10m ./...
 go test -run '^$' -bench . -benchtime 1x -timeout 10m ./...
 (cd perfbench && go test -timeout 10m ./...)
-PERF_GATE=1 go test -run '^TestMetricsOverheadGate$' -v -timeout 10m ./internal/experiments/
 # Whole-stage fusion gate: fused aggregation must hold its 2x speedup over
 # the unfused vectorized path on the cached Q1 aggregate shape.
 PERF_GATE=1 go test -run '^TestFusionGate$' -v -timeout 10m ./internal/experiments/
@@ -59,8 +57,10 @@ go test -race -v -run '^TestMultiproc' -timeout 5m ./internal/experiments/
 # and strict-JSON validation of the event-log wire form.
 go test -race -v -run '^TestObservability|^TestHarvestUnderLoad$|^TestEventLogStrictJSON$' -timeout 10m ./internal/experiments/
 
-# Observability overhead gate: trace ids + event-log appends must cost
-# <= 5% on cached Q1 against an observability-off engine.
+# Observability overhead gate: Config.Observability (per-operator
+# metrics, trace ids, per-action span capture, event-log appends) must
+# cost <= 5% on cached Q1 against an observability-off engine, on both
+# the row and the vectorized execution path.
 PERF_GATE=1 go test -run '^TestObservabilityGate$' -v -timeout 10m ./internal/experiments/
 
 # Durable-table suite, explicitly: WAL codec + crash recovery (torn
