@@ -9,7 +9,8 @@ import (
 
 // Whole-stage fusion property tests. These extend the spill harness in
 // spill_test.go (spillConfig, rowsText, canonText, spillCollect) with CACHED
-// tables — fusion only engages over a columnar cache scan — and compare every
+// tables — fusion only engages over a batch scan (colfile tables are covered
+// by colfile_vectorized_test.go) — and compare every
 // fused shape against the row-at-a-time path: group-key specializations
 // (int64, string, (int64,int64) pair, generic, global), every aggregate
 // function, broadcast-join probes on int, string, and pair keys under INNER

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
+	"repro/internal/columnar"
 	"repro/internal/datasource"
 	"repro/internal/row"
 	"repro/internal/types"
@@ -48,6 +50,7 @@ type Relation struct {
 
 var (
 	_ datasource.PrunedFilteredScan = (*Relation)(nil)
+	_ datasource.ColumnarScan       = (*Relation)(nil)
 	_ datasource.ExactFilterScan    = (*Relation)(nil)
 	_ datasource.SizedRelation      = (*Relation)(nil)
 )
@@ -121,85 +124,116 @@ func (rel *Relation) HandledFilters(filters []datasource.Filter) []datasource.Fi
 // NumRowGroups reports the group count (tests).
 func (rel *Relation) NumRowGroups() int { return len(rel.groups) }
 
-// ScanPrunedFiltered implements datasource.PrunedFilteredScan. Each row
-// group is one partition; groups whose stats cannot match are skipped, and
-// only requested columns are decoded.
+// ScanPrunedFiltered implements datasource.PrunedFilteredScan by boxing the
+// selected rows of ScanColumnar's batches.
 func (rel *Relation) ScanPrunedFiltered(columns []string, filters []datasource.Filter) (datasource.Scan, error) {
-	ords := make([]int, len(columns))
-	for i, c := range columns {
-		j := rel.schema.FieldIndex(c)
-		if j < 0 {
-			return datasource.Scan{}, fmt.Errorf("colfile: unknown column %q", c)
-		}
-		ords[i] = j
+	batches, err := rel.ScanColumnar(columns, filters)
+	if err != nil {
+		return datasource.Scan{}, err
 	}
-	// Columns needed only for filtering.
-	filterOrds := map[int]int{} // schema ordinal -> position in decode set
-	decodeOrds := append([]int{}, ords...)
-	for _, f := range filters {
-		j := rel.schema.FieldIndex(f.Attribute())
-		if j < 0 {
-			return datasource.Scan{}, fmt.Errorf("colfile: filter on unknown column %q", f.Attribute())
-		}
-		pos := -1
-		for k, o := range decodeOrds {
-			if o == j {
-				pos = k
-				break
-			}
-		}
-		if pos < 0 {
-			pos = len(decodeOrds)
-			decodeOrds = append(decodeOrds, j)
-		}
-		filterOrds[j] = pos
-	}
-
-	groups := rel.groups
 	return datasource.Scan{
-		NumPartitions: len(groups),
+		NumPartitions: batches.NumPartitions,
 		Partition: func(p int) []row.Row {
-			g := groups[p]
-			if !rel.groupMayMatch(g, filters) {
-				return nil
-			}
-			// Decode needed columns once.
-			cols := make([][]any, len(decodeOrds))
-			for k, j := range decodeOrds {
-				cols[k] = rel.decodeChunk(g, j)
-			}
-			out := make([]row.Row, 0, g.numRows)
-			for i := 0; i < g.numRows; i++ {
-				ok := true
-				for _, f := range filters {
-					pos := filterOrds[rel.schema.FieldIndex(f.Attribute())]
-					if !f.Matches(cols[pos][i]) {
-						ok = false
-						break
+			var out []row.Row
+			batches.Partition(p, func(b datasource.Batch) {
+				for _, i := range b.Sel {
+					rr := make(row.Row, len(b.Cols))
+					for k, v := range b.Cols {
+						rr[k] = v.Get(int(i))
 					}
+					out = append(out, rr)
 				}
-				if !ok {
-					continue
-				}
-				rr := make(row.Row, len(ords))
-				for k := range ords {
-					rr[k] = cols[k][i]
-				}
-				out = append(out, rr)
-			}
+			})
 			return out
 		},
 	}, nil
 }
 
-// groupMayMatch tests filters against chunk min/max stats.
-func (rel *Relation) groupMayMatch(g rowGroup, filters []datasource.Filter) bool {
-	for _, f := range filters {
+// ScanColumnar implements datasource.ColumnarScan. Each row group is one
+// partition, decoded in batches of columnar.DefaultBatchSize rows. Groups
+// whose stats cannot match are skipped, only the requested and filtered
+// columns are decoded, and the requested ones only for batches where some
+// row passes the filters.
+func (rel *Relation) ScanColumnar(columns []string, filters []datasource.Filter) (datasource.Batches, error) {
+	ords := make([]int, len(columns))
+	for i, c := range columns {
+		j := rel.schema.FieldIndex(c)
+		if j < 0 {
+			return datasource.Batches{}, fmt.Errorf("colfile: unknown column %q", c)
+		}
+		ords[i] = j
+	}
+	filterOrds := make([]int, len(filters))
+	for i, f := range filters {
 		j := rel.schema.FieldIndex(f.Attribute())
 		if j < 0 {
+			return datasource.Batches{}, fmt.Errorf("colfile: filter on unknown column %q", f.Attribute())
+		}
+		filterOrds[i] = j
+	}
+	groups := rel.groups
+	return datasource.Batches{
+		NumPartitions: len(groups),
+		Partition: func(p int, fn func(datasource.Batch)) {
+			g := groups[p]
+			if !rel.groupMayMatch(g, filters, filterOrds) {
+				return
+			}
+			rel.decodeGroup(g, ords, filters, filterOrds, fn)
+		},
+	}, nil
+}
+
+// decodeGroup streams one row group as batches: the filter columns decode
+// first and narrow the selection, then the requested columns decode for
+// batches with surviving rows (the rest are skipped without decoding).
+func (rel *Relation) decodeGroup(g rowGroup, ords []int, filters []datasource.Filter, filterOrds []int,
+	fn func(datasource.Batch)) {
+	cursors := make([]*chunkCursor, len(rel.schema.Fields))
+	for _, j := range slices.Concat(ords, filterOrds) {
+		if cursors[j] == nil {
+			cursors[j] = newChunkCursor(rel.schema.Fields[j].Type, g.chunks[j])
+		}
+	}
+	for lo := 0; lo < g.numRows; lo += columnar.DefaultBatchSize {
+		n := min(columnar.DefaultBatchSize, g.numRows-lo)
+		vecs := make([]*columnar.Vector, len(cursors))
+		sel := make([]int32, n)
+		for i := range sel {
+			sel[i] = int32(i)
+		}
+		for i, f := range filters {
+			j := filterOrds[i]
+			if vecs[j] == nil {
+				vecs[j] = cursors[j].next(n)
+			}
+			if sel = datasource.Select(f, vecs[j], sel); len(sel) == 0 {
+				break
+			}
+		}
+		if len(sel) == 0 {
+			for j, cur := range cursors {
+				if cur != nil && vecs[j] == nil {
+					cur.skip(n)
+				}
+			}
 			continue
 		}
-		c := g.chunks[j]
+		cols := make([]*columnar.Vector, len(ords))
+		for k, j := range ords {
+			if vecs[j] == nil {
+				vecs[j] = cursors[j].next(n)
+			}
+			cols[k] = vecs[j]
+		}
+		fn(datasource.Batch{Cols: cols, N: n, Sel: sel})
+	}
+}
+
+// groupMayMatch tests filters against chunk min/max stats.
+func (rel *Relation) groupMayMatch(g rowGroup, filters []datasource.Filter, filterOrds []int) bool {
+	for i, f := range filters {
+		c := g.chunks[filterOrds[i]]
 		if c.mn == nil || c.mx == nil {
 			// All-NULL chunk: only IS NOT NULL filters prune it.
 			if _, ok := f.(datasource.IsNotNull); ok {
@@ -233,19 +267,110 @@ func (rel *Relation) groupMayMatch(g rowGroup, filters []datasource.Filter) bool
 	return true
 }
 
-// decodeChunk materializes one column of a group as []any with NULLs.
-func (rel *Relation) decodeChunk(g rowGroup, j int) []any {
-	t := rel.schema.Fields[j].Type
-	c := g.chunks[j]
-	out := make([]any, g.numRows)
-	r := &reader{data: c.data}
-	for i := 0; i < g.numRows; i++ {
-		if c.bitmap[i/8]&(1<<(uint(i)%8)) == 0 {
-			continue
+// chunkCursor decodes one column chunk batch by batch straight into typed
+// vectors: INT/DATE and BIGINT/TIMESTAMP into int64 lanes, DOUBLE into
+// float64, BOOLEAN into bool and STRING into substrings of one string made
+// per chunk, so decoding allocates per batch, never per value.
+type chunkCursor struct {
+	t   types.DataType
+	tag byte
+	c   chunk
+	// str holds a STRING chunk's value bytes, made on the first decode so
+	// chunks whose batches are all skipped never copy them.
+	str string
+	row int // next row to decode
+	pos int // byte offset of the next non-NULL value in c.data
+}
+
+func newChunkCursor(t types.DataType, c chunk) *chunkCursor {
+	tag, _ := tagOf(t) // Open accepted the schema
+	return &chunkCursor{t: t, tag: tag, c: c}
+}
+
+func (cur *chunkCursor) valid(r int) bool {
+	return cur.c.bitmap[r/8]&(1<<(uint(r)%8)) != 0
+}
+
+// next decodes the following n rows.
+func (cur *chunkCursor) next(n int) *columnar.Vector {
+	v := columnar.NewVector(cur.t, n)
+	data, lo, pos := cur.c.data, cur.row, cur.pos
+	switch cur.tag {
+	case tagBool:
+		for i := 0; i < n; i++ {
+			if !cur.valid(lo + i) {
+				v.SetNull(i)
+				continue
+			}
+			v.Bool[i] = data[pos] == 1
+			pos++
 		}
-		out[i] = r.value(t)
+	case tagInt, tagDate:
+		for i := 0; i < n; i++ {
+			if !cur.valid(lo + i) {
+				v.SetNull(i)
+				continue
+			}
+			v.I64[i] = int64(int32(binary.LittleEndian.Uint32(data[pos:])))
+			pos += 4
+		}
+	case tagLong, tagTimestamp:
+		for i := 0; i < n; i++ {
+			if !cur.valid(lo + i) {
+				v.SetNull(i)
+				continue
+			}
+			v.I64[i] = int64(binary.LittleEndian.Uint64(data[pos:]))
+			pos += 8
+		}
+	case tagDouble:
+		for i := 0; i < n; i++ {
+			if !cur.valid(lo + i) {
+				v.SetNull(i)
+				continue
+			}
+			v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
+			pos += 8
+		}
+	case tagString:
+		if cur.str == "" {
+			cur.str = string(data)
+		}
+		for i := 0; i < n; i++ {
+			if !cur.valid(lo + i) {
+				v.SetNull(i)
+				continue
+			}
+			end := pos + 4 + int(binary.LittleEndian.Uint32(data[pos:]))
+			v.Str[i] = cur.str[pos+4 : end]
+			pos = end
+		}
 	}
-	return out
+	cur.row, cur.pos = lo+n, pos
+	return v
+}
+
+// skip advances past the following n rows without decoding them.
+func (cur *chunkCursor) skip(n int) {
+	for r := cur.row; r < cur.row+n; r++ {
+		if cur.valid(r) {
+			cur.pos += cur.width()
+		}
+	}
+	cur.row += n
+}
+
+// width is the encoded size of the non-NULL value at pos.
+func (cur *chunkCursor) width() int {
+	switch cur.tag {
+	case tagBool:
+		return 1
+	case tagInt, tagDate:
+		return 4
+	case tagString:
+		return 4 + int(binary.LittleEndian.Uint32(cur.c.data[cur.pos:]))
+	}
+	return 8
 }
 
 // ---------------------------------------------------------------------------

@@ -74,7 +74,10 @@ func (s *MetricsOverheadStudy) Run(ctx *sparksql.Context, x int32) (int64, error
 // the instrumented engine: 0.05 means observability costs 5%. Negative values mean
 // the instrumented run came out faster (noise). Each side runs iters
 // queries after one warm-up, interleaved on/off to decorrelate from
-// machine-load drift.
+// machine-load drift. The order inside each pair alternates (on then off,
+// then off then on): a query's garbage is collected during the query that
+// follows it, so a fixed order would bill one side for the other's
+// allocations.
 func (s *MetricsOverheadStudy) Overhead(vectorized bool, iters int) (float64, error) {
 	on, off := s.OnRow, s.OffRow
 	if vectorized {
@@ -88,16 +91,21 @@ func (s *MetricsOverheadStudy) Overhead(vectorized bool, iters int) (float64, er
 	}
 	var onNS, offNS int64
 	for i := 0; i < iters; i++ {
-		start := time.Now()
-		if _, err := s.Run(on, x); err != nil {
-			return 0, err
+		pair := []*sparksql.Context{on, off}
+		if i%2 == 1 {
+			pair = []*sparksql.Context{off, on}
 		}
-		onNS += time.Since(start).Nanoseconds()
-		start = time.Now()
-		if _, err := s.Run(off, x); err != nil {
-			return 0, err
+		for _, ctx := range pair {
+			start := time.Now()
+			if _, err := s.Run(ctx, x); err != nil {
+				return 0, err
+			}
+			if ns := time.Since(start).Nanoseconds(); ctx == on {
+				onNS += ns
+			} else {
+				offNS += ns
+			}
 		}
-		offNS += time.Since(start).Nanoseconds()
 	}
 	if offNS == 0 {
 		return 0, fmt.Errorf("metricsoverhead: zero baseline time")

@@ -32,8 +32,8 @@ type FusionAnnotated interface{ Fusion() string }
 
 // Fuse is the preparation rule, run after Vectorize, that absorbs an
 // aggregation or a broadcast-hash-join probe into the vectorized pipeline
-// feeding it. Aggregations always fuse over a vectorized (or bare cached)
-// input — the generic group table and the per-row aggregate escape hatch
+// feeding it. Aggregations always fuse over a vectorized (or bare batch
+// scan) input — the generic group table and the per-row aggregate escape hatch
 // cover every key and function shape. Join probes fuse only for the shapes
 // the batch probe loop reproduces byte-identically (build right; inner or
 // left-outer; no residual; 1×int64, 1×string, or 2×int64 keys with native
@@ -75,7 +75,7 @@ func Fuse(p SparkPlan) SparkPlan {
 	case *VectorizedPipelineExec:
 		n.SetFusion("fused: true")
 	case *PipelineExec:
-		if _, ok := n.Child.(*InMemoryScanExec); ok {
+		if _, ok := asBatchScan(n.Child); ok {
 			n.SetFusion("fallback: no native kernels")
 		} else {
 			n.SetFusion("fallback: scan not columnar")
@@ -86,19 +86,20 @@ func Fuse(p SparkPlan) SparkPlan {
 
 // fusablePipe returns the vectorized pipeline a sink can absorb: the child
 // itself when it already vectorized, or a synthesized zero-stage pipeline
-// when the sink sits directly on a cached scan (a bare GROUP BY with no
+// when the sink sits directly on a BatchScan (a bare GROUP BY with no
 // filter still deserves the batch-native update loop).
 func fusablePipe(p SparkPlan) *VectorizedPipelineExec {
-	switch c := p.(type) {
-	case *VectorizedPipelineExec:
-		return c
-	case *InMemoryScanExec:
-		vp := &VectorizedPipelineExec{Scan: c}
-		vp.SetFusion("fused: true")
-		transferEstimate(vp, c)
+	if vp, ok := p.(*VectorizedPipelineExec); ok {
 		return vp
 	}
-	return nil
+	scan, ok := asBatchScan(p)
+	if !ok {
+		return nil
+	}
+	vp := &VectorizedPipelineExec{Scan: scan}
+	vp.SetFusion("fused: true")
+	transferEstimate(vp, scan)
+	return vp
 }
 
 // joinFuseBlocker reports why a broadcast join cannot take the fused probe

@@ -18,7 +18,8 @@ type PlannerConfig struct {
 	// CollapsePipelines enables the Project/Filter fusion preparation rule.
 	CollapsePipelines bool
 	// Vectorize enables the preparation rule swapping fused pipelines over
-	// the columnar cache for batch-at-a-time execution.
+	// a batch scan (the columnar cache or a columnar source) for
+	// batch-at-a-time execution.
 	Vectorize bool
 	// Fuse enables whole-stage fusion: aggregation updates and broadcast
 	// join probes are absorbed into the vectorized pipeline feeding them

@@ -9,10 +9,11 @@ import (
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
+	"repro/internal/types"
 )
 
 // ScanExec is the generic leaf: it wraps a partition-producing function for
-// local relations, RDDs, ranges, data sources and the columnar cache.
+// local relations, RDDs, ranges and data sources.
 type ScanExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -20,6 +21,10 @@ type ScanExec struct {
 	Attrs []*expr.AttributeReference
 	// Build produces the RDD when executed.
 	Build func(ctx *ExecContext) *rdd.RDD[row.Row]
+	// Batches, when non-nil, opens the scan as typed column batches, which
+	// makes the leaf a BatchScan (sources implementing
+	// datasource.ColumnarScan).
+	Batches func(used []bool) datasource.Batches
 	// Detail annotates EXPLAIN output (pushed filters/columns).
 	Detail string
 }
@@ -32,6 +37,7 @@ func (s *ScanExec) Output() []*expr.AttributeReference { return s.Attrs }
 func (s *ScanExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	return s.Build(ctx)
 }
+func (s *ScanExec) OpenBatches(used []bool) datasource.Batches { return s.Batches(used) }
 func (s *ScanExec) SimpleString() string {
 	if s.Detail != "" {
 		return fmt.Sprintf("Scan %s %s %s", s.Name, attrsString(s.Attrs), s.Detail)
@@ -122,6 +128,11 @@ func NewSourceScan(name string, attrs []*expr.AttributeReference, rel datasource
 		detail += fmt.Sprintf("pushedExprs=%v", predicates)
 	}
 	s := &ScanExec{Name: "Source " + name, Attrs: attrs, Detail: detail}
+	if cs, ok := rel.(datasource.ColumnarScan); ok && len(predicates) == 0 {
+		s.Batches = func(used []bool) datasource.Batches {
+			return openColumnar(cs, name, scanColumns(attrs, cols), filters, used)
+		}
+	}
 	s.Build = func(ctx *ExecContext) *rdd.RDD[row.Row] {
 		om := s.EnableMetrics(ctx.Metrics)
 		scan, err := openScan(rel, attrs, cols, filters, predicates)
@@ -138,16 +149,55 @@ func NewSourceScan(name string, attrs []*expr.AttributeReference, rel datasource
 	return s
 }
 
+// scanColumns is the column list a source scan requests: the pushed
+// pruning, or every declared column when none was pushed.
+func scanColumns(attrs []*expr.AttributeReference, cols []string) []string {
+	if len(cols) > 0 {
+		return cols
+	}
+	cols = make([]string, len(attrs))
+	for i, a := range attrs {
+		cols[i] = a.Name
+	}
+	return cols
+}
+
+// openColumnar opens a columnar source scan for the output positions marked
+// in used, placing each returned vector at its output position (unused
+// positions stay nil).
+func openColumnar(cs datasource.ColumnarScan, name string, cols []string, filters []datasource.Filter,
+	used []bool) datasource.Batches {
+	var want []string
+	var pos []int
+	for j, u := range used {
+		if u {
+			want = append(want, cols[j])
+			pos = append(pos, j)
+		}
+	}
+	batches, err := cs.ScanColumnar(want, filters)
+	if err != nil {
+		panic(fmt.Sprintf("physical: opening columnar scan of %s: %v", name, err))
+	}
+	return datasource.Batches{
+		NumPartitions: batches.NumPartitions,
+		Partition: func(p int, fn func(datasource.Batch)) {
+			batches.Partition(p, func(b datasource.Batch) {
+				placed := make([]*columnar.Vector, len(cols))
+				for k, j := range pos {
+					placed[j] = b.Cols[k]
+				}
+				b.Cols = placed
+				fn(b)
+			})
+		},
+	}
+}
+
 // openScan picks the best scan interface available for the pushdown set.
 func openScan(rel datasource.Relation, attrs []*expr.AttributeReference,
 	cols []string, filters []datasource.Filter, predicates []expr.Expression) (datasource.Scan, error) {
-	if len(cols) == 0 {
-		// No pruning was pushed; scan all declared columns.
-		cols = make([]string, len(attrs))
-		for i, a := range attrs {
-			cols[i] = a.Name
-		}
-	}
+	cols = scanColumns(attrs, cols)
 	switch r := rel.(type) {
 	case datasource.CatalystScan:
 		return r.ScanCatalyst(cols, predicates)
@@ -162,10 +212,8 @@ func openScan(rel datasource.Relation, attrs []*expr.AttributeReference,
 }
 
 // InMemoryScanExec scans the columnar cache with optional column pruning
-// and batch skipping (paper §3.6). Unlike the other leaves it is a concrete
-// struct rather than a closure-configured ScanExec: the Vectorize
-// preparation rule needs access to the table and pruning to swap in the
-// batch-at-a-time path.
+// and batch skipping (paper §3.6). It is one of the two BatchScan leaves:
+// OpenBatches decodes the cached batches that survive skipping.
 type InMemoryScanExec struct {
 	PlanEstimate
 	PlanMetrics
@@ -199,6 +247,41 @@ func (s *InMemoryScanExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		return out
 	})
 }
+
+// OpenBatches implements BatchScan: each cached batch that survives min/max
+// skipping has its used columns decoded, with every row live.
+func (s *InMemoryScanExec) OpenBatches(used []bool) datasource.Batches {
+	eff := make([]int, len(s.Attrs))
+	colTypes := make([]types.DataType, len(s.Attrs))
+	for j := range s.Attrs {
+		ord := j
+		if s.Ordinals != nil {
+			ord = s.Ordinals[j]
+		}
+		colTypes[j] = s.Table.Schema.Fields[ord].Type
+		eff[j] = -1
+		if used[j] {
+			eff[j] = ord
+		}
+	}
+	table, keep := s.Table, s.Keep
+	return datasource.Batches{
+		NumPartitions: len(table.Partitions),
+		Partition: func(p int, fn func(datasource.Batch)) {
+			for _, b := range table.Partitions[p] {
+				if keep != nil && !keep(b.Stats) {
+					continue
+				}
+				live := make([]int32, b.NumRows)
+				for i := range live {
+					live[i] = int32(i)
+				}
+				fn(datasource.Batch{Cols: b.DecodeBatch(colTypes, eff), N: b.NumRows, Sel: live})
+			}
+		},
+	}
+}
+
 func (s *InMemoryScanExec) SimpleString() string {
 	if s.Ordinals != nil {
 		return fmt.Sprintf("Scan InMemoryColumnar %s ordinals=%v", attrsString(s.Attrs), s.Ordinals)
@@ -206,3 +289,25 @@ func (s *InMemoryScanExec) SimpleString() string {
 	return fmt.Sprintf("Scan InMemoryColumnar %s", attrsString(s.Attrs))
 }
 func (s *InMemoryScanExec) String() string { return Format(s) }
+
+// BatchScan is the leaf of the vectorized and fused pipelines: a scan whose
+// partitions arrive as typed column batches. The columnar cache
+// (InMemoryScanExec) is one implementation; a ScanExec over a source that
+// implements datasource.ColumnarScan is the other. Use asBatchScan to test
+// a plan node: a ScanExec has the method but only some have batches.
+type BatchScan interface {
+	SparkPlan
+	EnableMetrics(enabled bool) *OperatorMetrics
+	// OpenBatches starts one execution that decodes the output positions
+	// marked in used; the other positions are nil vectors.
+	OpenBatches(used []bool) datasource.Batches
+}
+
+// asBatchScan returns p as a BatchScan when it can feed the batch loop.
+func asBatchScan(p SparkPlan) (BatchScan, bool) {
+	if s, ok := p.(*ScanExec); ok && s.Batches == nil {
+		return nil, false
+	}
+	bs, ok := p.(BatchScan)
+	return bs, ok
+}

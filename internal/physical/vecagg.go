@@ -32,7 +32,7 @@ func (f *FusedAggregateExec) WithNewChildren(children []SparkPlan) SparkPlan {
 		c.Pipe = vp
 		return &c
 	}
-	// The pipeline degraded (e.g. the leaf stopped being a cache scan):
+	// The pipeline degraded (e.g. the leaf stopped producing batches):
 	// fall back to the plain two-phase aggregate.
 	agg := *f.Agg
 	agg.Child = children[0]
@@ -66,10 +66,11 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	// narrow the decode set to exactly those.
 	var used []bool
 	if !stagesProject(f.Pipe.Stages) {
-		used = make([]bool, len(f.Pipe.Scan.Attrs))
+		scanOut := f.Pipe.Scan.Output()
+		used = make([]bool, len(scanOut))
 		for _, st := range f.Pipe.Stages {
 			if st.isFilter {
-				markBoundRefs(bind(st.cond, f.Pipe.Scan.Attrs), used)
+				markBoundRefs(bind(st.cond, scanOut), used)
 			}
 		}
 		for _, g := range groupBound {
@@ -87,7 +88,7 @@ func (f *FusedAggregateExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 		groupVecs[i], groupNative[i] = expr.CompileVec(g)
 	}
 
-	partials := rdd.Generate(ctx.RDD, "fusedAgg", len(f.Pipe.Scan.Table.Partitions), func(p int) []aggPartial {
+	partials := rdd.Generate(ctx.RDD, "fusedAgg", loop.batches.NumPartitions, func(p int) []aggPartial {
 		// Per-partition mutable state: the group index table and one typed
 		// accumulator per aggregate.
 		groups := newGroupIndexer(groupBound, groupNative)

@@ -70,7 +70,7 @@ func (f *FusedBroadcastJoinExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	build := j.Right.Execute(ctx)
 	lazy := &lazyBuild[probeTable]{}
 	strKey := len(j.LeftKeys) == 1 && expr.VecClassOf(j.LeftKeys[0].DataType()) == expr.VecClassStr
-	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", len(f.Pipe.Scan.Table.Partitions), func(jc context.Context, p int) ([]row.Row, error) {
+	return rdd.GenerateCtx(ctx.RDD, "fusedJoinProbe", loop.batches.NumPartitions, func(jc context.Context, p int) ([]row.Row, error) {
 		ht, err := lazy.get(jc, func(jc context.Context) (probeTable, error) {
 			rows, err := build.CollectContext(jc)
 			if err != nil {

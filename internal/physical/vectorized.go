@@ -5,29 +5,30 @@ import (
 	"time"
 
 	"repro/internal/columnar"
+	"repro/internal/datasource"
 	"repro/internal/expr"
 	"repro/internal/rdd"
 	"repro/internal/row"
-	"repro/internal/types"
 )
 
 // VectorizedPipelineExec runs a fused filter/project pipeline batch-at-a-time
-// directly over the columnar cache: each batch's referenced columns are
-// decoded ONCE into typed vectors, predicates narrow a selection vector, and
-// rows are materialized only at the pipeline boundary for the surviving
-// positions. This removes the per-row boxing and interface dispatch that the
-// row-at-a-time path pays between the cache and the first operator — the gap
-// EXPERIMENTS.md measures against the native baseline.
+// directly over a BatchScan (the columnar cache or a columnar file): each
+// batch's referenced columns are decoded ONCE into typed vectors, predicates
+// narrow a selection vector, and rows are materialized only at the pipeline
+// boundary for the surviving positions. This removes the per-row boxing and
+// interface dispatch that the row-at-a-time path pays between the scan and
+// the first operator — the gap EXPERIMENTS.md measures against the native
+// baseline.
 //
-// The Vectorize preparation rule swaps it in for PipelineExec over an
-// InMemoryColumnar scan when at least one stage compiles to native kernels.
+// The Vectorize preparation rule swaps it in for PipelineExec over a
+// BatchScan when at least one stage compiles to native kernels.
 type VectorizedPipelineExec struct {
 	PlanEstimate
 	PlanMetrics
 	FusionNote
 	// Stages are listed bottom (first applied) to top, as in PipelineExec.
 	Stages []stage
-	Scan   *InMemoryScanExec
+	Scan   BatchScan
 	// Native counts stages that compiled to native batch kernels (the rest
 	// run through the per-row scalar fallback inside the batch loop).
 	Native int
@@ -35,12 +36,12 @@ type VectorizedPipelineExec struct {
 
 func (v *VectorizedPipelineExec) Children() []SparkPlan { return []SparkPlan{v.Scan} }
 func (v *VectorizedPipelineExec) WithNewChildren(children []SparkPlan) SparkPlan {
-	if scan, ok := children[0].(*InMemoryScanExec); ok {
+	if scan, ok := asBatchScan(children[0]); ok {
 		c := *v
 		c.Scan = scan
 		return &c
 	}
-	// The leaf is no longer a cache scan: degrade to the row pipeline.
+	// The leaf no longer produces batches: degrade to the row pipeline.
 	return transferEstimate(&PipelineExec{Stages: v.Stages, Child: children[0]}, v)
 }
 func (v *VectorizedPipelineExec) Output() []*expr.AttributeReference {
@@ -124,7 +125,7 @@ func markBoundRefs(e expr.Expression, used []bool) {
 func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 	om := v.EnableMetrics(ctx.Metrics)
 	loop := v.batchLoop(ctx, om, nil)
-	return rdd.Generate(ctx.RDD, "cacheScanVec", len(v.Scan.Table.Partitions), func(p int) []row.Row {
+	return rdd.Generate(ctx.RDD, "scanVec", loop.batches.NumPartitions, func(p int) []row.Row {
 		start := time.Now()
 		var out []row.Row
 		loop.run(p, func(batch *expr.VecBatch, live []int32) {
@@ -138,13 +139,11 @@ func (v *VectorizedPipelineExec) Execute(ctx *ExecContext) *rdd.RDD[row.Row] {
 }
 
 // batchLoop is a vectorized pipeline compiled for one execution: its stage
-// kernels, the cached columns to decode, and the metrics it credits. The
-// pipeline itself and the operators fused onto it all run through it.
+// kernels, the opened batch scan, and the metrics it credits. The pipeline
+// itself and the operators fused onto it all run through it.
 type batchLoop struct {
-	scan       *InMemoryScanExec
+	batches    datasource.Batches
 	stages     []vecStage
-	eff        []int
-	colTypes   []types.DataType
 	scanOM, om *OperatorMetrics
 }
 
@@ -152,38 +151,29 @@ type batchLoop struct {
 // used, when non-nil, replaces the pipeline's own decode set (which scan
 // output positions to decode) with what a fused consumer actually reads.
 func (v *VectorizedPipelineExec) batchLoop(ctx *ExecContext, om *OperatorMetrics, used []bool) *batchLoop {
-	stages, pipeUsed, _ := compileVecStages(v.Stages, v.Scan.Attrs)
+	stages, pipeUsed, _ := compileVecStages(v.Stages, v.Scan.Output())
 	if used == nil {
 		used = pipeUsed
 	}
-	eff, colTypes := scanDecodePlan(v.Scan, used)
 	return &batchLoop{
-		scan: v.Scan, stages: stages, eff: eff, colTypes: colTypes,
+		batches: v.Scan.OpenBatches(used), stages: stages,
 		scanOM: v.Scan.EnableMetrics(ctx.Metrics), om: om,
 	}
 }
 
-// run feeds partition p's cached batches through the pipeline: each batch
-// that survives min/max skipping has its referenced columns decoded once,
-// filters narrow the selection vector, and each projection replaces the
-// batch. sink receives every batch with surviving rows and their positions.
+// run feeds partition p's batches through the pipeline: filters narrow each
+// batch's live rows, and each projection replaces the batch. sink receives
+// every batch with surviving rows and their positions.
 func (l *batchLoop) run(p int, sink func(batch *expr.VecBatch, live []int32)) {
-	keep := l.scan.Keep
-	for _, b := range l.scan.Table.Partitions[p] {
-		if keep != nil && !keep(b.Stats) {
-			continue
-		}
+	l.batches.Partition(p, func(b datasource.Batch) {
 		// The scan's rows are never materialized on this path; credit it
-		// with the batches and decoded row counts it fed the pipeline.
-		l.scanOM.RecordBatch(b.NumRows)
+		// with the batches and live row counts it fed the pipeline.
+		l.scanOM.RecordBatch(len(b.Sel))
 		if l.om != nil {
 			l.om.Batches.Add(1)
 		}
-		batch := &expr.VecBatch{Cols: b.DecodeBatch(l.colTypes, l.eff), N: b.NumRows}
-		live := make([]int32, b.NumRows)
-		for i := range live {
-			live[i] = int32(i)
-		}
+		batch := &expr.VecBatch{Cols: b.Cols, N: b.N}
+		live := b.Sel
 		for _, st := range l.stages {
 			if st.isFilter {
 				live = st.pred(batch, live)
@@ -196,12 +186,12 @@ func (l *batchLoop) run(p int, sink func(batch *expr.VecBatch, live []int32)) {
 			for j, ev := range st.evals {
 				cols[j] = ev(batch, live)
 			}
-			batch = &expr.VecBatch{Cols: cols, N: b.NumRows}
+			batch = &expr.VecBatch{Cols: cols, N: b.N}
 		}
 		if len(live) > 0 {
 			sink(batch, live)
 		}
-	}
+	})
 }
 
 // boxBatchRow materializes row i of a pipeline's final batch.
@@ -211,26 +201,6 @@ func boxBatchRow(b *expr.VecBatch, i int) row.Row {
 		r[j] = c.Get(i)
 	}
 	return r
-}
-
-// scanDecodePlan maps each scan output position to the cached column
-// ordinal to decode (-1 when no consumer references it) and its type.
-func scanDecodePlan(scan *InMemoryScanExec, used []bool) ([]int, []types.DataType) {
-	eff := make([]int, len(scan.Attrs))
-	colTypes := make([]types.DataType, len(scan.Attrs))
-	for j := range scan.Attrs {
-		ord := j
-		if scan.Ordinals != nil {
-			ord = scan.Ordinals[j]
-		}
-		colTypes[j] = scan.Table.Schema.Fields[ord].Type
-		if used[j] {
-			eff[j] = ord
-		} else {
-			eff[j] = -1
-		}
-	}
-	return eff, colTypes
 }
 
 // stageAttrs is the output schema of a projection stage.
@@ -254,9 +224,9 @@ func stagesOutput(stages []stage, attrs []*expr.AttributeReference) []*expr.Attr
 
 // Vectorize is the preparation rule (run after Collapse) that swaps
 // PipelineExec for VectorizedPipelineExec wherever the pipeline sits
-// directly on an InMemoryColumnar scan and at least one fused stage
-// compiles to native batch kernels — otherwise vectorization is pure
-// decode overhead and the row pipeline is kept.
+// directly on a BatchScan and at least one fused stage compiles to native
+// batch kernels — otherwise vectorization is pure decode overhead and the
+// row pipeline is kept.
 func Vectorize(p SparkPlan) SparkPlan {
 	children := p.Children()
 	if len(children) > 0 {
@@ -277,11 +247,11 @@ func Vectorize(p SparkPlan) SparkPlan {
 	if !ok {
 		return p
 	}
-	scan, ok := pipe.Child.(*InMemoryScanExec)
+	scan, ok := asBatchScan(pipe.Child)
 	if !ok {
 		return p
 	}
-	_, _, native := compileVecStages(pipe.Stages, scan.Attrs)
+	_, _, native := compileVecStages(pipe.Stages, scan.Output())
 	if native == 0 {
 		return p
 	}

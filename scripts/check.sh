@@ -26,6 +26,9 @@ PERF_GATE=1 go test -run '^TestFusionGate$' -v -timeout 10m ./internal/experimen
 # at budgets down to one byte.
 go test -race -v -run '^TestFused|^TestFusion' -timeout 10m .
 
+# Colfile batch-scan suite: colfile tables through the vectorized and fused pipelines match the row path byte for byte.
+go test -race -v -run '^TestColfile|^TestFigure8Colfile|^TestColumnar' -timeout 10m . ./internal/datasource/colfile/
+
 # Small-budget spill suite, explicitly: every blocking operator must stay
 # byte-identical to the in-memory path while spilling under tiny memory
 # budgets (down to one byte), clean up all spill files on completion and

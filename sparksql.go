@@ -98,9 +98,11 @@ type Config struct {
 	JoinReorder bool
 	// PipelineCollapse fuses adjacent projects/filters into one map stage.
 	PipelineCollapse bool
-	// Vectorized runs fused pipelines over the columnar cache batch-at-a-time
-	// with typed vectors and selection vectors instead of row-at-a-time; it
-	// requires PipelineCollapse (vectorization applies to fused pipelines).
+	// Vectorized runs fused pipelines batch-at-a-time with typed vectors and
+	// selection vectors instead of row-at-a-time, over any batch-capable
+	// scan: the columnar cache (Cache(), store tables) and colfile tables.
+	// CSV and JSON tables keep the row path. It requires PipelineCollapse
+	// (vectorization applies to fused pipelines).
 	Vectorized bool
 	// Fusion extends vectorization to whole-stage fusion: aggregation
 	// updates and broadcast-join probes run inside the batch pipeline over
